@@ -28,6 +28,9 @@ Sample runOne(const BenchModel &M, const air::CompileOptions &Opt) {
     std::fprintf(stderr, "setup failed: %s\n", S.message().c_str());
     std::exit(1);
   }
+  telemetry::Telemetry &Tel = telemetry::Telemetry::instance();
+  Tel.clear();
+  telemetry::CounterSnapshot Before = Tel.counters();
   WallTimer Clock;
   auto Logits = Exec.infer(M.Data.Images[0]);
   if (!Logits.ok())
@@ -36,7 +39,8 @@ Sample runOne(const BenchModel &M, const air::CompileOptions &Opt) {
   Out.Seconds = Clock.seconds();
   Out.KeyBytes = Exec.memory().evaluationKeyBytes();
   Out.KeyCount = Exec.evalKeys().rotationKeyCount();
-  Out.Rotations = Exec.counters().Rotate;
+  Out.Rotations =
+      Tel.counters().deltaSince(Before).get(telemetry::Counter::Rotate);
   return Out;
 }
 
@@ -46,6 +50,7 @@ int main(int argc, char **argv) {
   BenchArgs Args(argc, argv, /*DefaultModels=*/1, /*DefaultImages=*/0);
   auto Models = buildPaperModels(1);
   BenchModel &M = Models[0];
+  telemetry::Telemetry::instance().setEnabled(true);
 
   struct Config {
     const char *Name;
@@ -67,7 +72,7 @@ int main(int argc, char **argv) {
   }
   {
     auto O = Base;
-    O.EnableRescalePlacement = false;
+    O.Rescale = RescaleMode::RM_Eager;
     Configs.push_back({"no-delayed-rescale", O});
   }
   Configs.push_back({"expert-(all-off)", expert::expertOptions(Base)});

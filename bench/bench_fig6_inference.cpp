@@ -167,7 +167,6 @@ int runPipelineSweep(const std::string &JsonPath) {
   };
   const Leg Legs[] = {
       {RescaleMode::RM_Eager, PackingStrategy::PS_Bsgs},
-      {RescaleMode::RM_Waterline, PackingStrategy::PS_Bsgs},
       {RescaleMode::RM_Lazy, PackingStrategy::PS_Bsgs},
       {RescaleMode::RM_Lazy, PackingStrategy::PS_Diag},
       {RescaleMode::RM_Lazy, PackingStrategy::PS_Column},

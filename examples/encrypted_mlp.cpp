@@ -17,9 +17,9 @@
 //                       [--packing=STRATEGY]
 //   ACE_TRACE=trace.json ./encrypted_mlp   # chrome://tracing span dump
 //   --metrics-dump writes the Prometheus exposition on exit
-//   --rescale: eager | waterline | lazy (default: ACE_LAZY_RESCALE,
-//     then waterline); --packing: auto | diag | bsgs | column (default:
-//     ACE_PACKING, then the per-layer cost model). See docs/compiler.md.
+//   --rescale: eager | lazy (default: lazy); --packing: auto | diag |
+//     bsgs | column (default: ACE_PACKING, then the per-layer cost
+//     model). See docs/compiler.md.
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +42,7 @@ int main(int argc, char **argv) {
   bool Report = false, ReportJson = false;
   int Threads = 0;
   std::string MetricsDump;
-  RescaleMode Rescale = RescaleMode::RM_Auto;
+  RescaleMode Rescale = RescaleMode::RM_Lazy;
   PackingStrategy Packing = PackingStrategy::PS_Auto;
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--telemetry-report") == 0)
@@ -81,7 +81,7 @@ int main(int argc, char **argv) {
 
   air::CompileOptions Opt;
   Opt.NumThreads = Threads; // 0 keeps the ACE_THREADS default
-  Opt.Rescale = Rescale;    // RM_Auto keeps the ACE_LAZY_RESCALE default
+  Opt.Rescale = Rescale;
   Opt.Packing = Packing;    // PS_Auto keeps the ACE_PACKING default
   driver::AceCompiler Compiler(Opt);
   auto Result = Compiler.compile(Model, Data.Images);

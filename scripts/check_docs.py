@@ -18,8 +18,8 @@ Three invariants:
      in docs/memory.md.
   5. Same for the compiler pipeline-policy contract: every public entry
      point of src/support/PipelineConfig.h (knob enums, parse/resolve
-     functions, the ACE_LAZY_RESCALE / ACE_PACKING environment
-     variables) is mentioned by name in docs/compiler.md.
+     functions, the ACE_PACKING environment variable) is mentioned by
+     name in docs/compiler.md.
 
 Exits nonzero listing every violation.
 """
@@ -131,13 +131,13 @@ def check_governor_doc():
 def pipeline_entry_points():
     """Public names of the compiler pipeline-policy contract: the free
     functions of src/support/PipelineConfig.h plus the knob enum values
-    and the environment variables they resolve from."""
+    and the environment variable the packing knob resolves from."""
     header = (ROOT / "src/support/PipelineConfig.h").read_text()
     names = set(m for m in FREE_FUNCTION.findall(header)
                 if m not in ("namespace", "endif", "include", "define",
                              "ifndef"))
     names.update(re.findall(r"\b(RM_\w+|PS_\w+)\b", header))
-    names.update(("ACE_LAZY_RESCALE", "ACE_PACKING"))
+    names.add("ACE_PACKING")
     return sorted(names - GENERIC_NAMES)
 
 

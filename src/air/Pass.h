@@ -51,16 +51,12 @@ struct CompileOptions {
   /// Disable optimizations for ablation studies and the Expert baseline.
   bool EnableRotationKeyAnalysis = true;
   bool EnableMinimalBootstrapLevel = true;
-  /// Legacy ablation switch: false forces RescaleMode::RM_Eager (the
-  /// Expert baseline settles and relinearizes at every producer).
-  bool EnableRescalePlacement = true;
   /// Rescale/relinearize placement policy of the SIHE->CKKS lowering
-  /// (docs/compiler.md). RM_Auto resolves through the process default,
-  /// then ACE_LAZY_RESCALE, then the builtin waterline policy.
-  RescaleMode Rescale = RescaleMode::RM_Auto;
+  /// (docs/compiler.md). RM_Eager is the Expert baseline's placement.
+  RescaleMode Rescale = RescaleMode::RM_Lazy;
   /// Matrix-vector packing strategy of the NN->VECTOR lowering. PS_Auto
-  /// resolves through the process default, then ACE_PACKING; an Auto
-  /// result means the per-layer cost model chooses.
+  /// resolves through ACE_PACKING; an Auto result means the per-layer
+  /// cost model chooses.
   PackingStrategy Packing = PackingStrategy::PS_Auto;
   /// Extra chain levels a hand implementation budgets conservatively
   /// (0 under compiler-driven parameter selection).
@@ -114,9 +110,9 @@ struct CompileState {
   CompileOptions Options;
   const onnx::Model *Model = nullptr;
 
-  /// Concrete pipeline knobs after resolution (driver/AceCompiler fills
-  /// these before the passes run; ResolvedRescale is never RM_Auto).
-  RescaleMode ResolvedRescale = RescaleMode::RM_Waterline;
+  /// Pipeline knobs the lowerings applied (the SIHE->CKKS and NN->VECTOR
+  /// passes fill these; ResolvedPacking is Auto when the cost model chose).
+  RescaleMode ResolvedRescale = RescaleMode::RM_Lazy;
   PackingStrategy ResolvedPacking = PackingStrategy::PS_Auto;
   /// Per-gemm packing decisions (NN->VECTOR cost model).
   std::vector<PackingDecision> PackingDecisions;

@@ -13,7 +13,7 @@ using namespace ace;
 air::CompileOptions expert::expertOptions(air::CompileOptions Base) {
   Base.EnableRotationKeyAnalysis = false;
   Base.EnableMinimalBootstrapLevel = false;
-  Base.EnableRescalePlacement = false;
+  Base.Rescale = RescaleMode::RM_Eager;
   Base.ExpertMarginLevels = 3;
   return Base;
 }

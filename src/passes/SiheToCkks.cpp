@@ -36,31 +36,23 @@ int levelCost(const IrNode *N) {
              : 0;
 }
 
-/// Forward rebuild state. The rescale-mode legality rules this builder
-/// implements are documented in docs/compiler.md; the three policies are:
-///
-///  - RM_Eager: settle the pending rescale (and relinearize) immediately
-///    after every producer. Every mapped value is canonical.
-///  - RM_Waterline: the historical default. One rescale per value is
-///    postponed (scale Delta^2 "waterline") and settled, unmemoized, at
-///    every consumer that cannot take a pending operand: a value read by
-///    several such consumers is re-settled per consumer.
-///  - RM_Lazy: last-responsible-moment placement. Settles, level drops,
-///    and relinearizations are memoized (CSE over scale management),
-///    degree-3 products flow through additions / scalar ops / ct-pt
-///    multiplies, and canonical form (scale Delta, degree 2) is demanded
-///    only at rotations, ct-ct multiply operands, bootstrap inputs, and
-///    the return value.
+/// Forward rebuild state. The placement legality rules this builder
+/// implements are documented in docs/compiler.md. It places rescales and
+/// relinearizations at the last responsible moment: settles, level drops,
+/// and relinearizations are memoized (CSE over scale management), degree-3
+/// products flow through additions / scalar ops / ct-pt multiplies, and
+/// canonical form (scale Delta, degree 2) is demanded only at rotations,
+/// ct-ct multiply operands, bootstrap inputs, and the return value. The
+/// eager policy is this builder plus a canonical() demand on every
+/// producer.
 struct CkksBuilder {
   IrFunction &Out;
-  CompileState &State;
-  RescaleMode Mode;
   std::map<const IrNode *, IrNode *> Map;
   std::map<IrNode *, size_t> NumQ;
   std::map<IrNode *, bool> Pending; ///< scale Delta*q, rescale postponed
   std::map<IrNode *, int> Degree;   ///< ciphertext components (2 or 3)
-  /// Lazy-mode memoization: each value settles / drops to a given level /
-  /// relinearizes at most once, no matter how many consumers demand it.
+  /// Each value settles / drops to a given level / relinearizes at most
+  /// once, no matter how many consumers demand it.
   std::map<IrNode *, IrNode *> SettleCache;
   std::map<std::pair<IrNode *, size_t>, IrNode *> DropCache;
   std::map<IrNode *, IrNode *> RelinCache;
@@ -70,27 +62,17 @@ struct CkksBuilder {
     return It == Degree.end() ? 2 : It->second;
   }
 
-  IrNode *makeRescale(IrNode *V) {
-    assert(NumQ[V] >= 2 && "rescale would drop the base modulus");
-    IrNode *R = Out.create(NodeKind::NK_CkksRescale, V->Type, {V},
-                           V->Origin);
-    NumQ[R] = NumQ[V] - 1;
-    Pending[R] = false;
-    Degree[R] = degreeOf(V);
-    R->CkksLevel = static_cast<int>(NumQ[R]) - 1;
-    return R;
-  }
-
-  /// Emits the postponed rescale. Memoized under RM_Lazy; the waterline
-  /// policy re-settles per consumer (its historical behavior).
+  /// Emits the postponed rescale, once per value.
   IrNode *settle(IrNode *V) {
-    if (Mode != RescaleMode::RM_Lazy)
-      return Pending[V] ? makeRescale(V) : V;
     IrNode *S = V;
     if (Pending[V]) {
       auto [It, Inserted] = SettleCache.try_emplace(V, nullptr);
-      if (Inserted)
-        It->second = makeRescale(V);
+      if (Inserted) {
+        assert(NumQ[V] >= 2 && "rescale would drop the base modulus");
+        It->second = Out.create(NodeKind::NK_CkksRescale, V->Type, {V},
+                                V->Origin);
+        finish(It->second, NumQ[V] - 1, /*IsPending=*/false, degreeOf(V));
+      }
       S = It->second;
     }
     // Canonical forwarding: once some consumer has relinearized this
@@ -101,62 +83,41 @@ struct CkksBuilder {
     return RIt != RelinCache.end() ? RIt->second : S;
   }
 
-  /// Mod-switches \p V down to \p Target active primes.
+  /// Mod-switches \p V down to \p Target active primes, once per level.
   IrNode *dropTo(IrNode *V, size_t Target) {
     if (NumQ[V] == Target)
       return V;
     assert(NumQ[V] > Target && "cannot raise a level without bootstrapping");
-    if (Mode == RescaleMode::RM_Lazy) {
-      auto [It, Inserted] = DropCache.try_emplace({V, Target}, nullptr);
-      if (!Inserted)
-        return It->second;
-      It->second = makeDrop(V, Target);
-      return It->second;
+    auto [It, Inserted] = DropCache.try_emplace({V, Target}, nullptr);
+    if (Inserted) {
+      It->second = Out.create(NodeKind::NK_CkksModSwitch, V->Type, {V},
+                              V->Origin);
+      It->second->Ints = {static_cast<int64_t>(Target)};
+      finish(It->second, Target, Pending[V], degreeOf(V));
     }
-    return makeDrop(V, Target);
+    return It->second;
   }
 
-  IrNode *makeDrop(IrNode *V, size_t Target) {
-    IrNode *M = Out.create(NodeKind::NK_CkksModSwitch, V->Type, {V},
-                           V->Origin);
-    M->Ints = {static_cast<int64_t>(Target)};
-    NumQ[M] = Target;
-    Pending[M] = Pending[V];
-    Degree[M] = degreeOf(V);
-    M->CkksLevel = static_cast<int>(Target) - 1;
-    return M;
-  }
-
-  /// Reduces a degree-3 product back to two components. Memoized; only
-  /// RM_Lazy ever sees a degree-3 value here (the other modes
-  /// relinearize at the producing multiply).
+  /// Reduces a degree-3 product back to two components, once per value.
   IrNode *relin(IrNode *V) {
     if (degreeOf(V) == 2)
       return V;
     auto [It, Inserted] = RelinCache.try_emplace(V, nullptr);
-    if (!Inserted)
-      return It->second;
-    IrNode *R = Out.create(NodeKind::NK_CkksRelin, TypeKind::TK_Cipher, {V},
-                           V->Origin);
-    NumQ[R] = NumQ[V];
-    Pending[R] = Pending[V];
-    Degree[R] = 2;
-    R->CkksLevel = static_cast<int>(NumQ[R]) - 1;
-    It->second = R;
-    return R;
+    if (Inserted) {
+      It->second = Out.create(NodeKind::NK_CkksRelin, TypeKind::TK_Cipher,
+                              {V}, V->Origin);
+      finish(It->second, NumQ[V], Pending[V]);
+    }
+    return It->second;
   }
 
   /// Canonical form: scale Delta, degree 2. Settling first relinearizes
-  /// at the lower level, which shortens the key-switch.
+  /// at the lower level, which shortens the key-switch. The identity on
+  /// plaintexts and on values already in canonical form.
   IrNode *canonical(IrNode *V) { return relin(settle(V)); }
 
-  /// Settles mismatched pending states and aligns levels for a binary
-  /// ciphertext operation.
-  void alignPair(IrNode *&A, IrNode *&B, bool RequireSettled) {
-    if (RequireSettled || Pending[A] != Pending[B]) {
-      A = settle(A);
-      B = settle(B);
-    }
+  /// Aligns two ciphertext operands to their common (lower) level.
+  void alignLevels(IrNode *&A, IrNode *&B) {
     size_t Target = std::min(NumQ[A], NumQ[B]);
     A = dropTo(A, Target);
     B = dropTo(B, Target);
@@ -223,16 +184,11 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
   }
 
   // --- Forward rebuild ----------------------------------------------------
-  // Resolve the placement policy here (not in the driver) so the pass
-  // behaves identically when driven standalone by tests. The legacy
-  // ablation switch maps to the eager policy.
-  RescaleMode Mode = State.Options.EnableRescalePlacement
-                         ? resolveRescaleMode(State.Options.Rescale)
-                         : RescaleMode::RM_Eager;
-  State.ResolvedRescale = Mode;
+  bool Eager = State.Options.Rescale == RescaleMode::RM_Eager;
+  State.ResolvedRescale = State.Options.Rescale;
 
   IrFunction NewF(F.name());
-  CkksBuilder B{NewF, State, Mode, {}, {}, {}, {}, {}, {}, {}};
+  CkksBuilder B{NewF, {}, {}, {}, {}, {}, {}, {}};
   std::map<const IrNode *, IrNode *> Refreshed;
 
   int MaxBootTarget = 0;
@@ -247,9 +203,7 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
       const IrNode *XOld = N->Operands[0];
       if (!Refreshed.count(XOld)) {
         // Bootstrapping demands canonical form (degree 2, scale Delta).
-        IrNode *X = Mode == RescaleMode::RM_Lazy
-                        ? B.canonical(B.Map.at(XOld))
-                        : B.settle(B.Map.at(XOld));
+        IrNode *X = B.canonical(B.Map.at(XOld));
         int Target = RefreshNeed.at(XOld) + 1;
         if (!State.Options.EnableMinimalBootstrapLevel) {
           // Expert-style: refresh to the deepest level any ReLU needs,
@@ -295,13 +249,12 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
     }
     case NodeKind::NK_SiheRotate: {
       IrNode *X = B.Map.at(N->Operands[0]);
-      // Rotation key-switches a degree-2 ciphertext; under the lazy
-      // policy this is the canonical-form demand point. The memoized
-      // settle hoists one rescale above a rotation fan-out (e.g. the
-      // BSGS baby steps) instead of re-settling per rotation, and
-      // rotating at the settled (lower) level truncates the key.
-      if (Mode == RescaleMode::RM_Lazy)
-        X = B.canonical(X);
+      // Rotation key-switches a degree-2 ciphertext, so this is a
+      // canonical-form demand point. The memoized settle hoists one
+      // rescale above a rotation fan-out (e.g. the BSGS baby steps)
+      // instead of re-settling per rotation, and rotating at the settled
+      // (lower) level truncates the key.
+      X = B.canonical(X);
       Lowered = NewF.create(NodeKind::NK_CkksRotate, TypeKind::TK_Cipher,
                             {X}, N->Origin);
       Lowered->Ints = N->Ints;
@@ -323,39 +276,24 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
       IrNode *C = B.Map.at(N->Operands[1]);
       if (C->Type == TypeKind::TK_Plain) {
         // A pending Delta*q scale would make the product doubly pending;
-        // settle first. The lazy policy lets a degree-3 operand through
-        // (plaintext products touch every component independently).
+        // settle first. A degree-3 operand passes through (plaintext
+        // products touch every component independently).
         A = B.settle(A);
         Lowered = NewF.create(NodeKind::NK_CkksMul, A->Type, {A, C},
                               N->Origin);
         B.finish(Lowered, B.NumQ[A], /*IsPending=*/true, B.degreeOf(A));
-        if (Mode == RescaleMode::RM_Eager)
-          Lowered = B.settle(Lowered);
-      } else if (Mode == RescaleMode::RM_Lazy) {
+      } else {
         // Ciphertext products need canonical degree-2 operands at the
         // plain scale; the relinearization of the product itself is
         // deferred until a consumer demands canonical form, so a sum of
         // products relinearizes once.
         A = B.canonical(A);
         C = B.canonical(C);
-        size_t Target = std::min(B.NumQ[A], B.NumQ[C]);
-        A = B.dropTo(A, Target);
-        C = B.dropTo(C, Target);
+        B.alignLevels(A, C);
         Lowered = NewF.create(NodeKind::NK_CkksMul, TypeKind::TK_Cipher3,
                               {A, C}, N->Origin);
-        B.finish(Lowered, Target, true, /*Deg=*/3);
+        B.finish(Lowered, B.NumQ[A], true, /*Deg=*/3);
         State.NeedsRelin = true;
-      } else {
-        B.alignPair(A, C, /*RequireSettled=*/true);
-        IrNode *M = NewF.create(NodeKind::NK_CkksMul, TypeKind::TK_Cipher3,
-                                {A, C}, N->Origin);
-        B.finish(M, B.NumQ[A], true, /*Deg=*/3);
-        Lowered = NewF.create(NodeKind::NK_CkksRelin, TypeKind::TK_Cipher,
-                              {M}, N->Origin);
-        B.finish(Lowered, B.NumQ[A], true);
-        State.NeedsRelin = true;
-        if (Mode == RescaleMode::RM_Eager)
-          Lowered = B.settle(Lowered);
       }
       break;
     }
@@ -365,8 +303,6 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
                             N->Origin);
       Lowered->Scalar = N->Scalar;
       B.finish(Lowered, B.NumQ[A], true, B.degreeOf(A));
-      if (Mode == RescaleMode::RM_Eager)
-        Lowered = B.settle(Lowered);
       break;
     }
     case NodeKind::NK_SiheAddConst: {
@@ -393,7 +329,7 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
         A = B.settle(A);
         Lowered = NewF.create(Kind, A->Type, {A, C}, N->Origin);
         B.finish(Lowered, B.NumQ[A], B.Pending[A], B.degreeOf(A));
-      } else if (Mode == RescaleMode::RM_Lazy) {
+      } else {
         // Pending operands add directly: the rescale primes are balanced
         // around 2^LogScale, so two pending values agree on scale within
         // the runtime tolerance even at different levels. A settled and
@@ -402,38 +338,28 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
           A = B.settle(A);
           C = B.settle(C);
         }
-        size_t Target = std::min(B.NumQ[A], B.NumQ[C]);
-        A = B.dropTo(A, Target);
-        C = B.dropTo(C, Target);
+        B.alignLevels(A, C);
         int Deg = std::max(B.degreeOf(A), B.degreeOf(C));
         Lowered = NewF.create(Kind,
                               Deg == 3 ? TypeKind::TK_Cipher3
                                        : TypeKind::TK_Cipher,
                               {A, C}, N->Origin);
-        B.finish(Lowered, Target, B.Pending[A], Deg);
-      } else {
-        // Eager mode keeps every value settled, so RequireSettled only
-        // normalizes level alignment there.
-        B.alignPair(A, C,
-                    /*RequireSettled=*/Mode == RescaleMode::RM_Eager);
-        Lowered =
-            NewF.create(Kind, TypeKind::TK_Cipher, {A, C}, N->Origin);
-        B.finish(Lowered, B.NumQ[A], B.Pending[A]);
+        B.finish(Lowered, B.NumQ[A], B.Pending[A], Deg);
       }
       break;
     }
     case NodeKind::NK_Return: {
       // The decryptor expects canonical form.
-      Result = Mode == RescaleMode::RM_Lazy
-                   ? B.canonical(B.Map.at(N->Operands[0]))
-                   : B.settle(B.Map.at(N->Operands[0]));
+      Result = B.canonical(B.Map.at(N->Operands[0]));
       continue;
     }
     default:
       return Status::error(std::string("unexpected node in SIHE lowering: ") +
                            nodeKindName(N->Kind));
     }
-    B.Map[N] = Lowered;
+    // Eager placement (the Expert baseline) settles and relinearizes
+    // every producer immediately.
+    B.Map[N] = Eager ? B.canonical(Lowered) : Lowered;
   }
   if (!Result)
     return Status::error("SIHE function has no return value");

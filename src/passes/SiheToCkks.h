@@ -9,9 +9,11 @@
 /// \file
 /// SIHE -> CKKS lowering (paper Sec. 4.4), the automation core:
 ///
-///  - Rescale placement: lazily after multiplications, delayed through
-///    addition trees (EVA-style waterline; paper Table 2).
-///  - Relinearization insertion after ciphertext-ciphertext products.
+///  - Rescale placement at the last responsible moment: memoized and
+///    sunk through addition trees (paper Table 2); RM_Eager settles every
+///    producer instead (the Expert baseline).
+///  - Relinearization of ciphertext-ciphertext products, deferred and
+///    fused over sums of products.
 ///  - Level inference with modswitch insertion for operand alignment.
 ///  - Minimal-level bootstrap placement before every ReLU region: each
 ///    refresh targets exactly the depth the downstream program needs.

@@ -9,17 +9,11 @@
 /// \file
 /// Compiler pipeline knobs: the rescale/relinearize placement policy of
 /// the SIHE->CKKS lowering and the packing strategy of the NN->VECTOR
-/// lowering (docs/compiler.md). Both knobs resolve through the same
-/// precedence chain:
-///
-///   explicit CompileOptions value
-///     > process-wide default (ace_set_rescale_mode /
-///       ace_set_packing_strategy C API)
-///       > environment (ACE_LAZY_RESCALE / ACE_PACKING)
-///         > builtin default (waterline / auto)
-///
-/// so a test that pins a mode stays deterministic while the CI matrix can
-/// sweep whole test suites through the environment.
+/// lowering (docs/compiler.md). The placement policy is a plain
+/// CompileOptions field. The packing strategy resolves an explicit
+/// CompileOptions value first, then the ACE_PACKING environment variable
+/// (so the CI matrix can sweep whole test suites through diag/bsgs), then
+/// the per-layer cost model.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,22 +24,16 @@ namespace ace {
 
 /// Rescale/relinearize placement policy (docs/compiler.md).
 enum class RescaleMode {
-  /// Resolve through the process default / ACE_LAZY_RESCALE chain.
-  RM_Auto,
-  /// Settle the pending rescale and relinearize immediately after every
-  /// multiplication (the hand-implementation baseline the op-budget
-  /// contract measures against).
-  RM_Eager,
-  /// The historical default: postpone one rescale per value (scale
-  /// Delta^2 "waterline") but settle at every consumer that cannot take a
-  /// pending operand, re-settling per consumer.
-  RM_Waterline,
-  /// Last-responsible-moment placement: memoized settles, rescales sunk
-  /// past same-scale additions, relinearization deferred (Cipher3 flows
-  /// through additions and scalar ops) and fused over added products;
-  /// canonical form is produced only at rotations, ct-ct multiply
-  /// operands, bootstraps, and the return value.
+  /// ANT-ACE's last-responsible-moment placement: memoized settles,
+  /// rescales sunk past same-scale additions, relinearization deferred
+  /// (Cipher3 flows through additions and scalar ops) and fused over
+  /// added products; canonical form is produced only at rotations, ct-ct
+  /// multiply operands, bootstraps, and the return value.
   RM_Lazy,
+  /// Settle the pending rescale and relinearize immediately after every
+  /// producer: the Expert baseline's hand placement (paper Sec. 6) and
+  /// the reference the op-budget contract measures lazy against.
+  RM_Eager,
 };
 
 /// Matrix-vector packing strategy of the NN->VECTOR lowering.
@@ -71,25 +59,15 @@ const char *rescaleModeName(RescaleMode Mode);
 const char *packingStrategyName(PackingStrategy Strategy);
 
 /// Parses a knob spelling; returns false on unknown input. Accepted
-/// rescale spellings: auto, eager, waterline, lazy, and the
-/// ACE_LAZY_RESCALE values on/1/true (lazy) and off/0/false (waterline).
-/// Accepted packing spellings: auto, diag, bsgs, column.
+/// rescale spellings: eager, lazy. Accepted packing spellings: auto,
+/// diag, bsgs, column.
 bool parseRescaleMode(const char *Spec, RescaleMode &Out);
 bool parsePackingStrategy(const char *Spec, PackingStrategy &Out);
 
-/// Process-wide defaults consulted when a CompileOptions knob is Auto.
-/// Setting RM_Auto / PS_Auto clears the override back to the environment.
-void setProcessRescaleMode(RescaleMode Mode);
-void setProcessPackingStrategy(PackingStrategy Strategy);
-RescaleMode processRescaleMode();
-PackingStrategy processPackingStrategy();
-
-/// Resolves a CompileOptions knob to a concrete policy: an explicit
-/// (non-Auto) option wins, then the process default, then the
-/// environment (ACE_LAZY_RESCALE / ACE_PACKING, re-read on every resolve
-/// so tests can flip it), then the builtin default. Unknown environment
+/// Resolves the packing knob: an explicit (non-Auto) option wins, then
+/// ACE_PACKING (re-read on every resolve so tests can flip it). An Auto
+/// result means the per-layer cost model chooses. Unknown environment
 /// values warn once and fall through; they never abort.
-RescaleMode resolveRescaleMode(RescaleMode Option);
 PackingStrategy resolvePackingStrategy(PackingStrategy Option);
 
 } // namespace ace

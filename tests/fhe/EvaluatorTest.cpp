@@ -8,6 +8,7 @@
 
 #include "fhe/Encryptor.h"
 #include "support/Rng.h"
+#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -291,18 +292,23 @@ TEST_F(EvaluatorFixture, RotateThenMulAccumulate) {
 }
 
 TEST_F(EvaluatorFixture, CountersTrackOperations) {
-  Eval->counters().clear();
+  using telemetry::Counter;
+  using telemetry::CounterSnapshot;
+  using telemetry::Telemetry;
   auto X = randomReals(Ctx.slots(), 28);
   Ciphertext CX = encrypt(X);
+  Telemetry::instance().setEnabled(true);
+  CounterSnapshot Before = Telemetry::instance().counters();
   Ciphertext P = Eval->mul(CX, CX);
   Eval->rescaleInPlace(P);
   Eval->rotate(P, 1);
-  const OpCounters &C = Eval->counters();
-  EXPECT_EQ(C.MulCipher, 1u);
-  EXPECT_EQ(C.Relinearize, 1u);
-  EXPECT_EQ(C.Rescale, 1u);
-  EXPECT_EQ(C.Rotate, 1u);
-  EXPECT_EQ(C.KeySwitch, 2u); // one relin, one rotation
+  CounterSnapshot C = Telemetry::instance().counters().deltaSince(Before);
+  Telemetry::instance().setEnabled(false);
+  EXPECT_EQ(C.get(Counter::CtCtMul), 1u);
+  EXPECT_EQ(C.get(Counter::Relinearize), 1u);
+  EXPECT_EQ(C.get(Counter::Rescale), 1u);
+  EXPECT_EQ(C.get(Counter::Rotate), 1u);
+  EXPECT_EQ(C.get(Counter::KeySwitch), 2u); // one relin, one rotation
 }
 
 } // namespace

@@ -35,14 +35,12 @@ std::vector<nn::Tensor> randomInputs(const std::vector<int64_t> &Shape,
   return Out;
 }
 
-/// Compiles \p M under an explicit rescale mode with the packing pinned
-/// to BSGS, so the budgets are functions of the placement policy alone
-/// (immune to the ACE_PACKING / ACE_LAZY_RESCALE CI matrix).
+/// Compiles \p M with the packing pinned to BSGS, so the budgets are
+/// functions of the placement policy alone (immune to the ACE_PACKING CI
+/// matrix). \p Opt carries the rescale mode; the default is the builtin.
 std::unique_ptr<driver::CompileResult>
-compileWithMode(const onnx::Model &M, const std::vector<nn::Tensor> &Inputs,
-                RescaleMode Mode) {
-  air::CompileOptions Opt;
-  Opt.Rescale = Mode;
+compileBsgs(const onnx::Model &M, const std::vector<nn::Tensor> &Inputs,
+            air::CompileOptions Opt = {}) {
   Opt.Packing = PackingStrategy::PS_Bsgs;
   driver::AceCompiler Compiler(Opt);
   auto R = Compiler.compile(M, Inputs);
@@ -50,23 +48,23 @@ compileWithMode(const onnx::Model &M, const std::vector<nn::Tensor> &Inputs,
   return R.ok() ? R.take() : nullptr;
 }
 
+air::CkksOpBudget budgetOf(const onnx::Model &M,
+                           const std::vector<nn::Tensor> &Inputs,
+                           RescaleMode Mode) {
+  air::CompileOptions Opt;
+  Opt.Rescale = Mode;
+  auto R = compileBsgs(M, Inputs, Opt);
+  return R ? R->State.Budget : air::CkksOpBudget{};
+}
+
 struct Budgets {
-  air::CkksOpBudget Eager, Waterline, Lazy;
+  air::CkksOpBudget Eager, Lazy;
 };
 
 Budgets budgetsOf(const onnx::Model &M,
                   const std::vector<nn::Tensor> &Inputs) {
-  Budgets B;
-  auto E = compileWithMode(M, Inputs, RescaleMode::RM_Eager);
-  auto W = compileWithMode(M, Inputs, RescaleMode::RM_Waterline);
-  auto L = compileWithMode(M, Inputs, RescaleMode::RM_Lazy);
-  if (E)
-    B.Eager = E->State.Budget;
-  if (W)
-    B.Waterline = W->State.Budget;
-  if (L)
-    B.Lazy = L->State.Budget;
-  return B;
+  return {budgetOf(M, Inputs, RescaleMode::RM_Eager),
+          budgetOf(M, Inputs, RescaleMode::RM_Lazy)};
 }
 
 // The MLP zoo model of the acceptance criterion: {64,48,32,10}, seed 7.
@@ -77,18 +75,15 @@ TEST(OpBudgetTest, MlpBudgetsAreExactPerMode) {
   // Rescale counts are the policy's whole story; everything else is
   // invariant across modes (same graph, same Need analysis).
   EXPECT_EQ(B.Eager.Rescale, 223u);
-  EXPECT_EQ(B.Waterline.Rescale, 184u);
   EXPECT_EQ(B.Lazy.Rescale, 58u);
 
   // Canonical forwarding makes lazy relinearize exactly as often as
   // eager: once per ct-ct product, never per consumer.
   EXPECT_EQ(B.Eager.Relinearize, 26u);
-  EXPECT_EQ(B.Waterline.Relinearize, 26u);
   EXPECT_EQ(B.Lazy.Relinearize, 26u);
 
   // Mode-invariant counters pin the rest of the lowering.
-  for (const air::CkksOpBudget *Budget :
-       {&B.Eager, &B.Waterline, &B.Lazy}) {
+  for (const air::CkksOpBudget *Budget : {&B.Eager, &B.Lazy}) {
     EXPECT_EQ(Budget->Rotate, 40u);
     EXPECT_EQ(Budget->CtCtMul, 26u);
     EXPECT_EQ(Budget->CtPtMul, 197u);
@@ -109,19 +104,14 @@ TEST(OpBudgetTest, LeNetBudgetsAreExactPerMode) {
   onnx::Model M = nn::buildLeNet(/*Classes=*/8, 11);
   Budgets B = budgetsOf(M, randomInputs({1, 1, 8, 8}, 2, 13));
 
-  // On the conv fan the waterline's per-consumer re-settling costs one
-  // more rescale than plain eager placement; only the memoized lazy
-  // policy collapses the fan-out.
+  // Only the memoized lazy policy collapses the conv fan-out.
   EXPECT_EQ(B.Eager.Rescale, 208u);
-  EXPECT_EQ(B.Waterline.Rescale, 209u);
   EXPECT_EQ(B.Lazy.Rescale, 63u);
 
   EXPECT_EQ(B.Eager.Relinearize, 39u);
-  EXPECT_EQ(B.Waterline.Relinearize, 39u);
   EXPECT_EQ(B.Lazy.Relinearize, 39u);
 
-  for (const air::CkksOpBudget *Budget :
-       {&B.Eager, &B.Waterline, &B.Lazy}) {
+  for (const air::CkksOpBudget *Budget : {&B.Eager, &B.Lazy}) {
     EXPECT_EQ(Budget->Rotate, 122u);
     EXPECT_EQ(Budget->CtCtMul, 39u);
     EXPECT_EQ(Budget->CtPtMul, 169u);
@@ -132,6 +122,25 @@ TEST(OpBudgetTest, LeNetBudgetsAreExactPerMode) {
   size_t LazyTotal = B.Lazy.Rescale + B.Lazy.Relinearize;
   EXPECT_LE(LazyTotal * 5, EagerTotal * 4)
       << "lazy " << LazyTotal << " vs eager " << EagerTotal;
+}
+
+// The builtin default is the contracted lazy policy: default
+// CompileOptions (only the packing pinned) compile both contract models
+// to the lazy rows above.
+TEST(OpBudgetTest, BuiltinDefaultIsContractedLazy) {
+  auto Mlp = compileBsgs(nn::buildMlp({64, 48, 32, 10}, 7),
+                         randomInputs({1, 64}, 2, 7));
+  ASSERT_TRUE(Mlp);
+  EXPECT_EQ(Mlp->State.ResolvedRescale, RescaleMode::RM_Lazy);
+  EXPECT_EQ(Mlp->State.Budget.Rescale, 58u);
+  EXPECT_EQ(Mlp->State.Budget.Relinearize, 26u);
+
+  auto LeNet = compileBsgs(nn::buildLeNet(/*Classes=*/8, 11),
+                           randomInputs({1, 1, 8, 8}, 2, 13));
+  ASSERT_TRUE(LeNet);
+  EXPECT_EQ(LeNet->State.ResolvedRescale, RescaleMode::RM_Lazy);
+  EXPECT_EQ(LeNet->State.Budget.Rescale, 63u);
+  EXPECT_EQ(LeNet->State.Budget.Relinearize, 39u);
 }
 
 // The static budget is not just an estimate: executing the compiled

@@ -114,8 +114,21 @@ TEST(PipelineTest, ExpertOptionsDisableAutomation) {
   air::CompileOptions Opt = expert::expertOptions(air::CompileOptions{});
   EXPECT_FALSE(Opt.EnableRotationKeyAnalysis);
   EXPECT_FALSE(Opt.EnableMinimalBootstrapLevel);
-  EXPECT_FALSE(Opt.EnableRescalePlacement);
   EXPECT_GT(Opt.ExpertMarginLevels, 0);
+
+  // Expert options compile the contract MLP to the pinned eager budget
+  // (tests/passes/OpBudgetTest.cpp).
+  {
+    air::CompileOptions Pinned = Opt;
+    Pinned.Packing = PackingStrategy::PS_Bsgs;
+    driver::AceCompiler Compiler(Pinned);
+    auto R = Compiler.compile(nn::buildMlp({64, 48, 32, 10}, 7),
+                              randomInputs(64, 2, 7));
+    ASSERT_TRUE(R.ok()) << R.status().message();
+    EXPECT_EQ((*R)->State.ResolvedRescale, RescaleMode::RM_Eager);
+    EXPECT_EQ((*R)->State.Budget.Rescale, 223u);
+    EXPECT_EQ((*R)->State.Budget.Relinearize, 26u);
+  }
 
   // Expert compilation selects a longer chain for the same model.
   onnx::Model M = nn::buildMlp({16, 12, 8}, 5);
