@@ -7,6 +7,8 @@
 
 #include "BenchUtil.h"
 
+#include "support/MemTrack.h"
+
 #include <cstdio>
 
 using namespace ace;

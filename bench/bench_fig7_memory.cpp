@@ -11,6 +11,7 @@
 #include "BenchUtil.h"
 
 #include "support/LimbPool.h"
+#include "support/MemTrack.h"
 #include "support/Telemetry.h"
 
 #include <cstdio>

@@ -29,6 +29,7 @@
 #include "support/MetricsRegistry.h"
 #include "support/PipelineConfig.h"
 #include "support/Telemetry.h"
+#include "support/ThreadPool.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -79,8 +80,12 @@ int main(int argc, char **argv) {
   // (buildMlp already has random weights; accuracy here is over the
   // cluster structure that survives them.)
 
+  if (Threads > 0) // 0 keeps the ACE_THREADS default
+    if (Status S = ThreadPool::instance().setNumThreads(Threads)) {
+      std::fprintf(stderr, "--threads: %s\n", S.message().c_str());
+      return 1;
+    }
   air::CompileOptions Opt;
-  Opt.NumThreads = Threads; // 0 keeps the ACE_THREADS default
   Opt.Rescale = Rescale;
   Opt.Packing = Packing;    // PS_Auto keeps the ACE_PACKING default
   driver::AceCompiler Compiler(Opt);

@@ -20,6 +20,8 @@
 #include "codegen/CkksExecutor.h"
 #include "driver/AceCompiler.h"
 #include "nn/ModelZoo.h"
+#include "support/MemTrack.h"
+#include "support/ThreadPool.h"
 
 #include <cmath>
 #include <cstdio>
@@ -49,8 +51,12 @@ int main(int argc, char **argv) {
               static_cast<long long>(Model.parameterCount()),
               100.0 * nn::cleartextAccuracy(Model.MainGraph, Data, 16));
 
+  if (Threads > 0) // 0 keeps the ACE_THREADS default
+    if (Status S = ThreadPool::instance().setNumThreads(Threads)) {
+      std::fprintf(stderr, "--threads: %s\n", S.message().c_str());
+      return 1;
+    }
   air::CompileOptions Opt;
-  Opt.NumThreads = Threads; // 0 keeps the ACE_THREADS default
   driver::AceCompiler Compiler(Opt);
   auto Result = Compiler.compile(Model, Data.Images);
   if (!Result.ok()) {

@@ -32,9 +32,11 @@
 #include "driver/AceCompiler.h"
 #include "fhe/Serializer.h"
 #include "nn/ModelZoo.h"
+#include "support/MemTrack.h"
 #include "support/MetricsRegistry.h"
 #include "support/Rng.h"
 #include "support/Telemetry.h"
+#include "support/ThreadPool.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -93,8 +95,12 @@ int main(int argc, char **argv) {
     Calibration.push_back(std::move(T));
   }
 
+  if (Threads > 0) // 0 keeps the ACE_THREADS default
+    if (Status S = ThreadPool::instance().setNumThreads(Threads)) {
+      std::fprintf(stderr, "--threads: %s\n", S.message().c_str());
+      return 1;
+    }
   air::CompileOptions Opt;
-  Opt.NumThreads = Threads; // 0 keeps the ACE_THREADS default
   driver::AceCompiler Compiler(Opt);
   auto Result = Compiler.compile(*Loaded, Calibration, /*KeepDumps=*/true);
   if (!Result.ok()) {

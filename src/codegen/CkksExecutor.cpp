@@ -25,11 +25,6 @@ CkksExecutor::CkksExecutor(const IrFunction &F, const CompileState &State)
 
 CkksExecutor::~CkksExecutor() = default;
 
-void CkksExecutor::enableLazyRotationKeys(size_t CapacityBytes) {
-  LazyRotationKeys = true;
-  KeyCacheCapacity = CapacityBytes;
-}
-
 Status CkksExecutor::setup(uint64_t SeedOverride) {
   telemetry::TraceSpan Span("executor", "setup");
   WallTimer Clock;
@@ -38,11 +33,6 @@ Status CkksExecutor::setup(uint64_t SeedOverride) {
     P.Seed = SeedOverride;
   if (!P.valid())
     return Status::error("invalid selected parameters");
-  // Apply the compile-level thread request before any runtime work so
-  // key generation and execution share one pool configuration.
-  if (State.Options.NumThreads > 0)
-    ACE_RETURN_IF_ERROR(ThreadPool::instance().setNumThreads(
-        static_cast<size_t>(State.Options.NumThreads)));
   // The old cache (a re-setup) references the old Ctx/Gen; drop it
   // before they are replaced.
   KeyCache.reset();
@@ -50,10 +40,8 @@ Status CkksExecutor::setup(uint64_t SeedOverride) {
   Enc = std::make_unique<fhe::Encoder>(*Ctx);
   Gen = std::make_unique<fhe::KeyGenerator>(*Ctx);
   Pub = Gen->makePublicKey();
-  if (LazyRotationKeys) {
+  if (LazyRotationKeys)
     KeyCache = std::make_unique<fhe::RotationKeyCache>(*Ctx, *Gen);
-    KeyCache->setCapacityBytes(KeyCacheCapacity);
-  }
   Eval = std::make_unique<fhe::Evaluator>(*Ctx, *Enc, Keys, KeyCache.get());
 
   // Key generation restricted to the analyzed requirements (paper RQ2's
@@ -122,18 +110,26 @@ Status CkksExecutor::setup(uint64_t SeedOverride) {
   Encrypt = std::make_unique<fhe::Encryptor>(*Ctx, Pub);
   Decrypt = std::make_unique<fhe::Decryptor>(*Ctx, Gen->secretKey());
 
-  Memory.clear();
-  Memory.add(MemCategoryKind::MC_SecretKey, Gen->secretKey().byteSize());
-  Memory.add(MemCategoryKind::MC_PublicKey, Pub.byteSize());
-  Memory.add(MemCategoryKind::MC_RelinKey, Keys.relinByteSize());
-  Memory.add(MemCategoryKind::MC_RotationKeys, Keys.rotationByteSize());
-
   SetupSeconds = Clock.seconds();
   if (telemetry::enabled()) {
     telemetry::Telemetry::instance().recordSnapshot("executor:setup");
     telemetry::Telemetry::instance().sampleRss("rss");
   }
   return Status::success();
+}
+
+CkksExecutor::MemoryUsage CkksExecutor::memory() const {
+  MemoryUsage M;
+  if (!Gen)
+    return M;
+  M.SecretKey = Gen->secretKey().byteSize();
+  M.PublicKey = Pub.byteSize();
+  M.EvalKeys = Keys.byteSize();
+  if (KeyCache)
+    M.EvalKeys += KeyCache->stats().ResidentBytes;
+  for (const auto &[Key, P] : PlainCache)
+    M.Plaintexts += P.byteSize();
+  return M;
 }
 
 StatusOr<fhe::Ciphertext>
@@ -178,7 +174,6 @@ const Plaintext &CkksExecutor::encodedConst(const IrNode *ConstNode,
   if (It != PlainCache.end())
     return It->second;
   Plaintext P = Enc->encodeReal(ConstNode->Data, Scale, For.numQ());
-  Memory.add(MemCategoryKind::MC_Plaintexts, P.byteSize());
   return PlainCache.emplace(Key, std::move(P)).first->second;
 }
 
@@ -379,7 +374,6 @@ StatusOr<fhe::Ciphertext> CkksExecutor::run(const Ciphertext &Input) {
   }
   if (!HaveResult)
     return Status::error("executor: program produced no result");
-  Memory.add(MemCategoryKind::MC_Ciphertexts, Result.byteSize());
   if (telemetry::enabled()) {
     telemetry::Telemetry::instance().recordSnapshot("executor:run");
     telemetry::Telemetry::instance().sampleRss("rss");

@@ -26,7 +26,6 @@
 #include "fhe/Encryptor.h"
 #include "nn/Executor.h"
 #include "support/Cancellation.h"
-#include "support/MemTrack.h"
 #include "support/Timer.h"
 
 #include <memory>
@@ -55,14 +54,14 @@ public:
   /// through a RotationKeyCache instead of eagerly at setup. The
   /// compiler's analyzed step set (with truncation levels) and the
   /// bootstrap Galois set are *declared*; each key materializes on first
-  /// use, charged to the ResourceGovernor, and cold keys are evicted
-  /// under budget pressure (regenerating transparently on next use).
-  /// Relinearization and conjugation keys stay eager — every program
-  /// needs them throughout. \p CapacityBytes bounds the per-executor LRU
-  /// (0 = only the process budget limits it). The long-running inference
-  /// service turns this on per session; one-shot runs keep the eager
-  /// default, whose setup cost and key-byte reporting are unchanged.
-  void enableLazyRotationKeys(size_t CapacityBytes = 0);
+  /// use, charged to the ResourceGovernor, and the governor's reclaim
+  /// pass evicts cold keys under budget pressure (they regenerate
+  /// transparently on next use). Relinearization and conjugation keys
+  /// stay eager - every program needs them throughout. The inference
+  /// service turns this on for every session; one-shot runs keep the
+  /// eager default, whose setup cost and key-byte reporting are
+  /// unchanged.
+  void enableLazyRotationKeys() { LazyRotationKeys = true; }
 
   /// The lazy key cache, or nullptr in eager mode / before setup().
   fhe::RotationKeyCache *keyCache() const { return KeyCache.get(); }
@@ -96,8 +95,25 @@ public:
   /// Wall time per origin operator kind for the last run() (Fig. 6).
   const TimingRegistry &regionTimes() const { return RegionTimes; }
 
-  /// Key/ciphertext memory by category (Fig. 7).
-  const MemTracker &memory() const { return Memory; }
+  /// Bytes of FHE material this executor holds (Fig. 7), computed on
+  /// demand from the objects that own them.
+  struct MemoryUsage {
+    size_t SecretKey = 0;
+    size_t PublicKey = 0;
+    /// Relin + conjugation + rotation/Galois keys; with lazy keys, the
+    /// rotation share is the key cache's resident bytes (the same bytes
+    /// the cache charges to the governor's EvalKeys gauge).
+    size_t EvalKeys = 0;
+    /// Encoded weights held by the plaintext cache.
+    size_t Plaintexts = 0;
+
+    /// The "CKKS-Keys" share in Figure 7.
+    size_t evaluationKeyBytes() const { return EvalKeys; }
+    size_t total() const {
+      return SecretKey + PublicKey + EvalKeys + Plaintexts;
+    }
+  };
+  MemoryUsage memory() const;
 
   /// Seconds spent in setup (key generation dominates).
   double setupSeconds() const { return SetupSeconds; }
@@ -118,7 +134,6 @@ private:
   /// Declared after Gen/Ctx (it references both) so it destructs first.
   std::unique_ptr<fhe::RotationKeyCache> KeyCache;
   bool LazyRotationKeys = false;
-  size_t KeyCacheCapacity = 0;
   fhe::PublicKey Pub;
   fhe::EvalKeys Keys;
   std::unique_ptr<fhe::Evaluator> Eval;
@@ -127,7 +142,6 @@ private:
   std::unique_ptr<fhe::Decryptor> Decrypt;
 
   TimingRegistry RegionTimes;
-  MemTracker Memory;
   double SetupSeconds = 0.0;
 
   /// Encoded-plaintext cache: (node id, numQ, log2 scale bucket).

@@ -308,7 +308,6 @@ RotationKeyCache::get(uint64_t Galois) {
                                 std::to_string(Galois) + " was never declared");
     if (It->second.Key) {
       It->second.LastUse = ++UseClock;
-      Hits.fetch_add(1, std::memory_order_relaxed);
       ResourceGovernor::instance().noteKeyCacheHit();
       return It->second.Key;
     }
@@ -317,7 +316,6 @@ RotationKeyCache::get(uint64_t Galois) {
 
   // Miss: ask the governor before generating. Outside the cache mutex -
   // the governor's reclaim pass re-enters evictColdest().
-  Misses.fetch_add(1, std::memory_order_relaxed);
   ResourceGovernor::instance().noteKeyCacheMiss();
   ACE_RETURN_IF_ERROR(ResourceGovernor::instance().admit(
       Estimate, "rotation key generation (Galois " + std::to_string(Galois) +
@@ -338,24 +336,11 @@ RotationKeyCache::get(uint64_t Galois) {
   E.LastUse = ++UseClock;
   ResidentBytes += E.Bytes;
   ResourceGovernor::instance().charge(MemCategory::EvalKeys, E.Bytes);
-  if (CapacityBytes != 0 && ResidentBytes > CapacityBytes)
-    evictColdestLocked(ResidentBytes - CapacityBytes);
   return std::shared_ptr<const SwitchKey>(Key);
-}
-
-void RotationKeyCache::setCapacityBytes(size_t Bytes) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  CapacityBytes = Bytes;
-  if (CapacityBytes != 0 && ResidentBytes > CapacityBytes)
-    evictColdestLocked(ResidentBytes - CapacityBytes);
 }
 
 size_t RotationKeyCache::evictColdest(size_t WantBytes) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  return evictColdestLocked(WantBytes);
-}
-
-size_t RotationKeyCache::evictColdestLocked(size_t WantBytes) {
   size_t Released = 0;
   while (Released < WantBytes) {
     Entry *Coldest = nullptr;
@@ -377,7 +362,6 @@ size_t RotationKeyCache::evictColdestLocked(size_t WantBytes) {
     ResourceGovernor::instance().release(MemCategory::EvalKeys,
                                          Coldest->Bytes);
     ResourceGovernor::instance().noteKeyCacheEviction();
-    Evictions.fetch_add(1, std::memory_order_relaxed);
     Coldest->Key.reset();
     Coldest->Bytes = 0;
   }
@@ -403,9 +387,6 @@ size_t RotationKeyCache::releaseAll() {
 RotationKeyCache::Stats RotationKeyCache::stats() const {
   std::lock_guard<std::mutex> Lock(Mutex);
   Stats S;
-  S.Hits = Hits.load(std::memory_order_relaxed);
-  S.Misses = Misses.load(std::memory_order_relaxed);
-  S.Evictions = Evictions.load(std::memory_order_relaxed);
   S.ResidentBytes = ResidentBytes;
   S.DeclaredCount = Entries.size();
   for (const auto &[Galois, E] : Entries) {

@@ -24,7 +24,6 @@
 #include "support/Rng.h"
 #include "support/Status.h"
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -163,11 +162,12 @@ private:
 /// The compiler's key analysis *declares* the Galois elements a program
 /// may use (with their truncation levels); keys are generated only when an
 /// op first asks for them, their bytes charged to the ResourceGovernor
-/// under MemCategory::EvalKeys, and cold keys are evicted — by the LRU
-/// capacity bound, or by the governor's reclaim pass under budget
-/// pressure. An evicted key regenerates transparently on next use (new
-/// randomness, equally valid key material; ciphertext results are
-/// unaffected because key switching is correct under any valid key).
+/// under MemCategory::EvalKeys, and the governor's reclaim pass evicts
+/// cold keys in LRU order under budget pressure. An evicted key
+/// regenerates transparently on next use (new randomness, equally valid
+/// key material; ciphertext results are unaffected because key switching
+/// is correct under any valid key). Hits, misses and evictions are
+/// counted once, in the governor's counters.
 ///
 /// get() hands out shared_ptr handles so an eviction can never free a key
 /// another thread is mid-way through using. Thread-safe; generation is
@@ -200,10 +200,6 @@ public:
   /// ResourceExhausted when the governor refuses the generation charge.
   StatusOr<std::shared_ptr<const SwitchKey>> get(uint64_t Galois);
 
-  /// LRU capacity for cached key bytes; 0 = unbounded (the governor's
-  /// budget is then the only limit). Evicts immediately if over.
-  void setCapacityBytes(size_t Bytes);
-
   /// Evicts least-recently-used keys until at least \p WantBytes are
   /// released or nothing cold remains. Returns bytes released. This is
   /// the governor reclaim callback.
@@ -214,9 +210,6 @@ public:
   size_t releaseAll();
 
   struct Stats {
-    uint64_t Hits = 0;
-    uint64_t Misses = 0;     ///< on-demand generations
-    uint64_t Evictions = 0;
     size_t ResidentBytes = 0;
     size_t ResidentCount = 0;
     size_t DeclaredCount = 0;
@@ -242,7 +235,6 @@ private:
   /// regenerates it at the right one. Caller holds Mutex.
   void widenLocked(Entry &E, size_t MaxNumQ);
   SwitchKey generate(const Entry &E, uint64_t Galois);
-  size_t evictColdestLocked(size_t WantBytes);
 
   const Context &Ctx;
   KeyGenerator &Gen;
@@ -250,11 +242,8 @@ private:
   mutable std::mutex Mutex;
   std::map<uint64_t, Entry> Entries; ///< keyed by Galois element
   uint64_t UseClock = 0;
-  size_t CapacityBytes = 0;
   size_t ResidentBytes = 0;
   uint64_t ReclaimerId = 0;
-
-  std::atomic<uint64_t> Hits{0}, Misses{0}, Evictions{0};
 };
 
 } // namespace fhe

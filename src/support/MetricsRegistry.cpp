@@ -251,8 +251,8 @@ void MetricsRegistry::writePrometheus(std::ostream &OS) const {
                   static_cast<double>(G.KeyCacheHits));
   writeSampleLine(OS, "ace_key_cache_requests_total", "kind=\"miss\"",
                   static_cast<double>(G.KeyCacheMisses));
-  OS << "# HELP ace_key_cache_evictions_total Rotation keys dropped by "
-        "LRU/budget/idle eviction (regenerated on next use).\n";
+  OS << "# HELP ace_key_cache_evictions_total Cold rotation keys the "
+        "governor's budget reclaim dropped (regenerated on next use).\n";
   OS << "# TYPE ace_key_cache_evictions_total counter\n";
   writeSampleLine(OS, "ace_key_cache_evictions_total", "",
                   static_cast<double>(G.KeyCacheEvictions));

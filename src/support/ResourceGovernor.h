@@ -122,9 +122,10 @@ public:
   /// ~RotationKeyCache tear down while another thread is mid-admit()).
   void removeReclaimer(uint64_t Id);
 
-  /// Aggregated key-cache telemetry: caches live in the fhe layer, the
-  /// metrics exporter in support — caches push their counters here so
-  /// the exporter needs no upward dependency.
+  /// The one tally of key-cache hits, misses and evictions, across all
+  /// caches: caches live in the fhe layer, the metrics exporter in
+  /// support, so caches count here and the exporter needs no upward
+  /// dependency.
   void noteKeyCacheHit() { CacheHits.fetch_add(1, std::memory_order_relaxed); }
   void noteKeyCacheMiss() {
     CacheMisses.fetch_add(1, std::memory_order_relaxed);

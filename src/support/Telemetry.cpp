@@ -170,7 +170,16 @@ CounterSnapshot Telemetry::counters() const {
 void Telemetry::recordSnapshot(const std::string &Label) {
   CounterSnapshot S = counters();
   std::lock_guard<std::mutex> Lock(Mutex);
+  if (Snapshots.size() >= kMaxSnapshots) {
+    ++DroppedSnapshots;
+    return;
+  }
   Snapshots.emplace_back(Label, S);
+}
+
+size_t Telemetry::droppedSnapshotCount() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return DroppedSnapshots;
 }
 
 std::vector<std::pair<std::string, CounterSnapshot>>
@@ -305,6 +314,7 @@ void Telemetry::clear() {
   Events.clear();
   DroppedEvents = 0;
   Snapshots.clear();
+  DroppedSnapshots = 0;
   Health = {};
   ThreadNames.clear();
   Phases.clear();
@@ -421,6 +431,7 @@ void Telemetry::writeReport(std::ostream &OS, bool Json) const {
   auto HealthCopy = health();
   auto PhaseCopy = phaseEntries();
   auto SnapCopy = snapshots();
+  size_t DroppedSnaps = droppedSnapshotCount();
   size_t Rss = peakRssBytes();
   size_t NumEvents = eventCount();
   size_t Dropped = droppedEventCount();
@@ -482,7 +493,8 @@ void Telemetry::writeReport(std::ostream &OS, bool Json) const {
       }
       OS << "}}";
     }
-    OS << "],\"peakRssBytes\":" << Rss << ",\"traceEvents\":" << NumEvents
+    OS << "],\"droppedSnapshots\":" << DroppedSnaps
+       << ",\"peakRssBytes\":" << Rss << ",\"traceEvents\":" << NumEvents
        << ",\"droppedEvents\":" << Dropped << "}\n";
     return;
   }
@@ -543,6 +555,8 @@ void Telemetry::writeReport(std::ostream &OS, bool Json) const {
         }
       OS << (Any ? "\n" : " (no FHE ops)\n");
     }
+    if (DroppedSnaps > 0)
+      OS << "  (" << DroppedSnaps << " later snapshots dropped)\n";
   }
   if (Rss > 0)
     OS << "Peak RSS: " << formatBytes(Rss) << "\n";

@@ -241,9 +241,13 @@ public:
   }
   CounterSnapshot counters() const;
   /// Records a named snapshot of every counter (per-phase reporting: the
-  /// report prints deltas between consecutive snapshots).
+  /// report prints deltas between consecutive snapshots). Bounded like
+  /// the event buffer: past kMaxSnapshots (a traced server records one
+  /// per request) further snapshots are counted as dropped, not kept.
   void recordSnapshot(const std::string &Label);
   std::vector<std::pair<std::string, CounterSnapshot>> snapshots() const;
+  size_t droppedSnapshotCount() const;
+  static constexpr size_t kMaxSnapshots = 4096;
   /// @}
 
   /// \name Events
@@ -356,6 +360,7 @@ private:
   std::vector<TraceEvent> Events;
   size_t DroppedEvents = 0;
   std::vector<std::pair<std::string, CounterSnapshot>> Snapshots;
+  size_t DroppedSnapshots = 0;
   std::array<OpHealth, kCounterCount> Health{};
   std::vector<std::pair<uint32_t, std::string>> ThreadNames;
   std::vector<std::pair<std::string, std::string>> Metadata;

@@ -73,22 +73,6 @@ private:
   std::unordered_map<std::string, size_t> Index;
 };
 
-/// RAII helper: times its scope and records into a TimingRegistry.
-class ScopedTimer {
-public:
-  ScopedTimer(TimingRegistry &Registry, std::string Phase)
-      : Registry(Registry), Phase(std::move(Phase)) {}
-  ~ScopedTimer() { Registry.add(Phase, Clock.seconds()); }
-
-  ScopedTimer(const ScopedTimer &) = delete;
-  ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-private:
-  TimingRegistry &Registry;
-  std::string Phase;
-  WallTimer Clock;
-};
-
 } // namespace ace
 
 #endif // ACE_SUPPORT_TIMER_H

@@ -22,6 +22,7 @@
 #include "nn/ModelZoo.h"
 #include "support/Rng.h"
 #include "support/Telemetry.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -117,7 +118,7 @@ TEST_F(TelemetryEndToEndTest, GoldenCountersMatchEvaluatorAndPlan) {
   // the golden numbers.
   air::CompileOptions Opt = toyOptions();
   Opt.Packing = PackingStrategy::PS_Bsgs;
-  Opt.NumThreads = 1;
+  ASSERT_TRUE(ThreadPool::instance().setNumThreads(1).ok());
   std::unique_ptr<driver::CompileResult> R;
   std::unique_ptr<codegen::CkksExecutor> Exec;
   std::vector<double> Logits = runMlp(Model, Inputs, &R, &Exec, Opt);

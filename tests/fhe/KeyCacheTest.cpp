@@ -1,8 +1,10 @@
 //===----------------------------------------------------------------------===//
 // Rotation-key cache tests: declare/generate-on-first-use semantics, LRU
-// and capacity eviction, transparent regeneration, truncation widening,
-// pinning via shared_ptr handles, and budget refusals propagating as
-// clean ResourceExhausted through the checked evaluator tier.
+// eviction by governor reclaim (also concurrent with pinned lookups),
+// transparent regeneration, truncation widening, pinning via shared_ptr
+// handles, and budget refusals propagating as clean ResourceExhausted
+// through the checked evaluator tier. Hits, misses and evictions are read
+// from the governor's counters, the one tally.
 //===----------------------------------------------------------------------===//
 
 #include "fhe/Encryptor.h"
@@ -12,6 +14,9 @@
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
 
 using namespace ace;
 using namespace ace::fhe;
@@ -36,6 +41,7 @@ struct KeyCacheTest : ::testing::Test {
     Eval = std::make_unique<Evaluator>(*Ctx, *Enc, Keys, Cache.get());
     Encrypt = std::make_unique<Encryptor>(*Ctx, Pub);
     Decrypt = std::make_unique<Decryptor>(*Ctx, Gen->secretKey());
+    ResourceGovernor::instance().resetCounters();
   }
   ~KeyCacheTest() override {
     FaultInjector::instance().reset();
@@ -49,6 +55,10 @@ struct KeyCacheTest : ::testing::Test {
     for (auto &V : X)
       V = R.uniformReal(-1, 1);
     return X;
+  }
+
+  static GovernorStats counters() {
+    return ResourceGovernor::instance().stats();
   }
 
   size_t SavedBudget;
@@ -70,14 +80,14 @@ TEST_F(KeyCacheTest, GeneratesOnFirstUseThenHits) {
 
   auto First = Cache->get(Galois);
   ASSERT_TRUE(First.ok()) << First.status().message();
-  EXPECT_EQ(Cache->stats().Misses, 1u);
+  EXPECT_EQ(counters().KeyCacheMisses, 1u);
   EXPECT_EQ(Cache->stats().ResidentCount, 1u);
   EXPECT_GT(Cache->stats().ResidentBytes, 0u);
 
   auto Second = Cache->get(Galois);
   ASSERT_TRUE(Second.ok());
-  EXPECT_EQ(Cache->stats().Hits, 1u);
-  EXPECT_EQ(Cache->stats().Misses, 1u);
+  EXPECT_EQ(counters().KeyCacheHits, 1u);
+  EXPECT_EQ(counters().KeyCacheMisses, 1u);
   EXPECT_EQ(First->get(), Second->get()); // same resident key
 }
 
@@ -115,33 +125,83 @@ TEST_F(KeyCacheTest, EvictionRegeneratesTransparently) {
   size_t Released = Cache->evictColdest(SIZE_MAX);
   EXPECT_GT(Released, 0u);
   EXPECT_EQ(Cache->stats().ResidentCount, 0u);
-  EXPECT_EQ(Cache->stats().Evictions, 1u);
+  EXPECT_EQ(counters().KeyCacheEvictions, 1u);
 
   // Regenerated key: fresh material, same rotation semantics.
   auto After = Decrypt->decryptRealValues(*Enc, Eval->rotate(Ct, 2));
   for (size_t I = 0; I < X.size(); ++I)
     EXPECT_NEAR(After[I], Before[I], 1e-5);
-  EXPECT_EQ(Cache->stats().Misses, 2u);
+  EXPECT_EQ(counters().KeyCacheMisses, 2u);
 }
 
-TEST_F(KeyCacheTest, CapacityBoundEvictsLeastRecentlyUsed) {
+TEST_F(KeyCacheTest, GovernorReclaimEvictsLeastRecentlyUsedFirst) {
   uint64_t G1 = Cache->declareRotation(1);
   uint64_t G2 = Cache->declareRotation(2);
-  auto K1 = Cache->get(G1);
-  ASSERT_TRUE(K1.ok());
-  size_t OneKeyBytes = Cache->stats().ResidentBytes;
-  // Room for one key only; drop our handle so G1 is evictable.
-  *K1 = nullptr;
-  Cache->setCapacityBytes(OneKeyBytes);
+  ASSERT_TRUE(Cache->get(G1).ok());
+  ASSERT_TRUE(Cache->get(G2).ok());
+  ASSERT_TRUE(Cache->get(G1).ok()); // G2 is now the coldest
+  size_t OneKeyBytes = Cache->stats().ResidentBytes / 2;
 
-  auto K2 = Cache->get(G2);
-  ASSERT_TRUE(K2.ok());
+  // A budget with no headroom: admitting one key's worth reclaims
+  // exactly the coldest key, and the admission then fits.
+  ResourceGovernor &Gov = ResourceGovernor::instance();
+  Gov.setBudgetBytes(Gov.stats().totalChargedBytes());
+  ASSERT_TRUE(Gov.admit(OneKeyBytes, "test").ok());
+  Gov.setBudgetBytes(0);
   EXPECT_EQ(Cache->stats().ResidentCount, 1u);
-  EXPECT_GE(Cache->stats().Evictions, 1u);
-  EXPECT_LE(Cache->stats().ResidentBytes, OneKeyBytes);
-  // G1 is still declared and regenerates on demand.
-  EXPECT_TRUE(Cache->declared(G1));
-  EXPECT_TRUE(Cache->get(G1).ok());
+  EXPECT_EQ(counters().KeyCacheEvictions, 1u);
+
+  Gov.resetCounters();
+  ASSERT_TRUE(Cache->get(G1).ok());
+  EXPECT_EQ(counters().KeyCacheHits, 1u);
+  ASSERT_TRUE(Cache->get(G2).ok()); // evicted, still declared
+  EXPECT_EQ(counters().KeyCacheMisses, 1u);
+}
+
+TEST_F(KeyCacheTest, ReclaimConcurrentWithPinnedLookups) {
+  std::vector<uint64_t> Galois;
+  for (int64_t Step : {1, 2, 3, 4})
+    Galois.push_back(Cache->declareRotation(Step));
+  ResourceGovernor &Gov = ResourceGovernor::instance();
+  // Headroom for key generation; the reclaiming thread's own request is
+  // the whole budget, so each of its admissions reclaims every cold key.
+  const size_t Budget = Gov.stats().totalChargedBytes() + (size_t(1) << 30);
+  Gov.setBudgetBytes(Budget);
+
+  constexpr int kGetters = 3, kGetsEach = 40;
+  std::atomic<bool> Done{false};
+  std::thread Reclaimer([&] {
+    while (!Done.load()) {
+      (void)Gov.admit(Budget, "reclaim");
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> Getters;
+  std::atomic<int> Failures{0};
+  for (int T = 0; T < kGetters; ++T)
+    Getters.emplace_back([&, T] {
+      for (int I = 0; I < kGetsEach; ++I) {
+        auto Key = Cache->get(Galois[(T + I) % Galois.size()]);
+        // The handle pins the key: reclaim may evict the entry, never
+        // free the material under us.
+        if (!Key.ok() || (*Key)->Parts.size() != Ctx->chainLength() ||
+            (*Key)->byteSize() == 0)
+          ++Failures;
+      }
+    });
+  for (auto &G : Getters)
+    G.join();
+  Done = true;
+  Reclaimer.join();
+  Gov.setBudgetBytes(0);
+
+  EXPECT_EQ(Failures.load(), 0);
+  GovernorStats S = counters();
+  EXPECT_EQ(S.KeyCacheHits + S.KeyCacheMisses,
+            static_cast<uint64_t>(kGetters * kGetsEach));
+  // The cache's resident bytes and the governor's charge agree.
+  EXPECT_EQ(Cache->stats().ResidentBytes,
+            S.ChargedBytes[static_cast<size_t>(MemCategory::EvalKeys)]);
 }
 
 TEST_F(KeyCacheTest, PinnedKeysAreNotEvicted) {

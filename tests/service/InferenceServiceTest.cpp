@@ -748,37 +748,45 @@ TEST_F(InferenceServiceTest, BudgetFaultFailsOneRequestCleanly) {
   EXPECT_TRUE(R2.Outcome.ok()) << R2.Outcome.message();
 }
 
-/// Idle sessions lose their cached keys after the TTL (the long-running
-/// server reclaiming memory from quiet clients) and regenerate them
-/// transparently on the next request.
-TEST_F(InferenceServiceTest, IdleTtlEvictsSessionKeysAndRecovers) {
-  ServiceConfig Cfg;
-  Cfg.SessionIdleSeconds = 0.05;
-  InferenceService Svc(Compiled->Program, Compiled->State, Cfg);
+/// Budget pressure reclaims a quiet session's cached rotation keys (the
+/// only eviction trigger: the governor's reclaim pass, LRU order), and
+/// they regenerate transparently on the session's next request.
+TEST_F(InferenceServiceTest, BudgetReclaimEvictsSessionKeysAndRecovers) {
+  InferenceService Svc(Compiled->Program, Compiled->State);
   auto Sid = Svc.openSession();
   ASSERT_TRUE(Sid.ok());
   auto Frame = Svc.encryptRequest(*Sid, makeInput(24));
   ASSERT_TRUE(Frame.ok());
-  auto T = Svc.submit(*Frame);
-  ASSERT_TRUE(T.ok());
-  ASSERT_TRUE(T->Result.get().Outcome.ok());
+  auto Infer = [&] {
+    auto T = Svc.submit(*Frame);
+    EXPECT_TRUE(T.ok());
+    if (!T.ok())
+      return std::vector<double>();
+    InferenceResponse R = T->Result.get();
+    EXPECT_TRUE(R.Outcome.ok()) << R.Outcome.message();
+    auto Logits = Svc.decryptResponse(*Sid, R.Bytes);
+    EXPECT_TRUE(Logits.ok()) << Logits.status().message();
+    return Logits.ok() ? *Logits : std::vector<double>();
+  };
+  std::vector<double> Before = Infer();
   ASSERT_GT(Svc.stats().KeyCacheBytes, 0u);
 
-  // The dispatcher sweeps at TTL/2 when idle; give it a few periods.
-  bool Evicted = false;
-  for (int I = 0; I < 100 && !Evicted; ++I) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    ServiceStats S = Svc.stats();
-    Evicted = S.IdleKeyEvictions >= 1 && S.KeyCacheBytes == 0;
-  }
-  EXPECT_TRUE(Evicted) << Svc.stats().json();
+  // Over budget: admit() runs the reclaimers (cold keys first), then
+  // sheds its own request.
+  ResourceGovernor &Gov = ResourceGovernor::instance();
+  size_t SavedBudget = Gov.budgetBytes();
+  Gov.setBudgetBytes(1);
+  EXPECT_FALSE(Gov.admit(1, "reclaim probe").ok());
+  EXPECT_EQ(Svc.stats().KeyCacheBytes, 0u);
+  Gov.setBudgetBytes(SavedBudget);
 
-  // The session is still open; keys regenerate on demand.
-  auto T2 = Svc.submit(*Frame);
-  ASSERT_TRUE(T2.ok());
-  InferenceResponse R2 = T2->Result.get();
-  EXPECT_TRUE(R2.Outcome.ok()) << R2.Outcome.message();
+  // The session is still open; its keys regenerate on demand (fresh key
+  // material, so only the key-switching noise differs).
+  std::vector<double> After = Infer();
   EXPECT_GT(Svc.stats().KeyCacheBytes, 0u);
+  ASSERT_EQ(After.size(), Before.size());
+  for (size_t I = 0; I < Before.size(); ++I)
+    EXPECT_NEAR(After[I], Before[I], 1e-3);
 }
 
 } // namespace

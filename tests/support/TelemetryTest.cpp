@@ -185,6 +185,21 @@ TEST_F(TelemetryTest, SnapshotDeltas) {
   EXPECT_EQ(2u, D.get(Counter::CtCtMul));
 }
 
+TEST_F(TelemetryTest, SnapshotBufferIsBoundedAndCountsOverflow) {
+  // A traced server snapshots once per request; the buffer must not grow
+  // with the request count.
+  for (size_t I = 0; I < Telemetry::kMaxSnapshots + 3; ++I)
+    Telemetry::instance().recordSnapshot("executor:run");
+  EXPECT_EQ(Telemetry::kMaxSnapshots, Telemetry::instance().snapshots().size());
+  EXPECT_EQ(3u, Telemetry::instance().droppedSnapshotCount());
+  std::string Json = Telemetry::instance().reportString(/*Json=*/true);
+  EXPECT_NE(std::string::npos, Json.find("\"droppedSnapshots\":3"));
+  std::string Text = Telemetry::instance().reportString(/*Json=*/false);
+  EXPECT_NE(std::string::npos, Text.find("3 later snapshots dropped"));
+  Telemetry::instance().clear();
+  EXPECT_EQ(0u, Telemetry::instance().droppedSnapshotCount());
+}
+
 TEST_F(TelemetryTest, ReportMentionsCountersAndJsonParsesShape) {
   Telemetry::instance().count(Counter::Rotate, 7);
   std::string Text = Telemetry::instance().reportString(/*Json=*/false);
