@@ -20,96 +20,116 @@ using namespace ace::air;
 using fhe::Ciphertext;
 using fhe::Plaintext;
 
-CkksExecutor::CkksExecutor(const IrFunction &F, const CompileState &State)
-    : F(F), State(State) {}
+ProgramRuntime::ProgramRuntime(const IrFunction &F, const CompileState &State)
+    : Ctx(State.SelectedParams), Enc(Ctx) {
+  // Keys restricted to the analyzed requirements (paper RQ2's memory win
+  // over every power-of-two key). Bootstrap rotations run at the raised
+  // levels and need full-depth keys, even for steps the program shares.
+  if (State.BootstrapCount > 0) {
+    BootstrapGalois = fhe::Bootstrapper::requiredGaloisElements(Ctx);
+    for (int64_t Step : fhe::Bootstrapper::requiredRotations(Ctx))
+      RotationKeys.emplace_back(Step, 0);
+  }
+  if (!State.Options.EnableRotationKeyAnalysis) {
+    // The Expert baseline, like hand implementations, generates the exact
+    // step set plus the power-of-two set (both directions) at full depth.
+    for (int64_t Step : State.RotationSteps)
+      RotationKeys.emplace_back(Step, 0);
+    for (size_t S = 1; S < Ctx.slots(); S <<= 1) {
+      RotationKeys.emplace_back(static_cast<int64_t>(S), 0);
+      RotationKeys.emplace_back(static_cast<int64_t>(Ctx.slots() - S), 0);
+    }
+    return;
+  }
+  // Level-aware keys: each truncates to the deepest level the dataflow
+  // analysis saw its step used at, so compute keys shrink quadratically.
+  for (int64_t Step : State.RotationSteps) {
+    auto It = State.RotationStepMaxNumQ.find(Step);
+    RotationKeys.emplace_back(Step, It != State.RotationStepMaxNumQ.end()
+                                        ? It->second
+                                        : Ctx.chainLength());
+  }
+  for (const auto &NPtr : F.nodes())
+    if (NPtr->Kind == NodeKind::NK_CkksRotate)
+      RotateGroups[NPtr->Operands[0]->Id].push_back(NPtr.get());
+}
 
-CkksExecutor::~CkksExecutor() = default;
+const Plaintext &ProgramRuntime::encodedWeight(const IrNode *ConstNode,
+                                               size_t NumQ, double Scale) {
+  auto Key = std::make_tuple(
+      ConstNode->Id, NumQ,
+      static_cast<int64_t>(std::llround(std::log2(Scale) * 4096.0)));
+  {
+    std::lock_guard<std::mutex> Guard(Mutex);
+    auto It = Weights.find(Key);
+    if (It != Weights.end())
+      return It->second;
+  }
+  Plaintext P = Enc.encodeReal(ConstNode->Data, Scale, NumQ);
+  std::lock_guard<std::mutex> Guard(Mutex);
+  return Weights.emplace(Key, std::move(P)).first->second;
+}
 
-Status CkksExecutor::setup(uint64_t SeedOverride) {
-  telemetry::TraceSpan Span("executor", "setup");
-  WallTimer Clock;
-  fhe::CkksParams P = State.SelectedParams;
-  if (SeedOverride != 0)
-    P.Seed = SeedOverride;
-  if (!P.valid())
-    return Status::error("invalid selected parameters");
-  // The old cache (a re-setup) references the old Ctx/Gen; drop it
-  // before they are replaced.
-  KeyCache.reset();
-  Ctx = std::make_unique<fhe::Context>(P);
-  Enc = std::make_unique<fhe::Encoder>(*Ctx);
-  Gen = std::make_unique<fhe::KeyGenerator>(*Ctx);
-  Pub = Gen->makePublicKey();
-  if (LazyRotationKeys)
-    KeyCache = std::make_unique<fhe::RotationKeyCache>(*Ctx, *Gen);
-  Eval = std::make_unique<fhe::Evaluator>(*Ctx, *Enc, Keys, KeyCache.get());
+size_t ProgramRuntime::weightBytes() const {
+  std::lock_guard<std::mutex> Guard(Mutex);
+  size_t Sum = 0;
+  for (const auto &[Key, P] : Weights)
+    Sum += P.byteSize();
+  return Sum;
+}
 
-  // Key generation restricted to the analyzed requirements (paper RQ2's
-  // memory win over generating every power-of-two key). The Expert
-  // baseline instead generates the full power-of-two key set, as hand
-  // implementations and FHE libraries do by default.
-  // Bootstrap keys first: its rotations run at the raised levels and need
-  // full-depth keys, even when the same step also appears in the program.
-  std::vector<int64_t> FullSteps;
+CkksExecutor::KeySet::KeySet(ProgramRuntime &RT, const CompileState &State,
+                             uint64_t Seed, bool LazyRotationKeys)
+    : Gen(RT.context(), Seed), Pub(Gen.makePublicKey()),
+      KeyCache(LazyRotationKeys ? std::make_unique<fhe::RotationKeyCache>(
+                                      RT.context(), Gen)
+                                : nullptr),
+      Eval(RT.context(), RT.encoder(), Keys, KeyCache.get()),
+      Encrypt(RT.context(), Pub, Seed), Decrypt(RT.context(), Gen.secretKey()) {
   if (State.BootstrapCount > 0) {
     fhe::BootstrapConfig Cfg;
     Cfg.RangeK = State.Options.BootstrapRangeK;
     Cfg.DoubleAngleCount = State.Options.BootstrapDoubleAngle;
     Cfg.ChebyshevDegree = State.Options.BootstrapChebDegree;
-    Boot = std::make_unique<fhe::Bootstrapper>(*Eval, Cfg);
-    FullSteps = Boot->requiredRotations();
-    if (KeyCache)
-      for (uint64_t Galois : Boot->requiredGaloisElements())
-        KeyCache->declareGalois(Galois);
-    else
-      Gen->fillGaloisKeys(Keys, Boot->requiredGaloisElements());
+    Boot = std::make_unique<fhe::Bootstrapper>(Eval, Cfg, &RT.diagonals());
   }
-  if (!State.Options.EnableRotationKeyAnalysis) {
-    // Hand implementations generate every key their rotations might use -
-    // the exact step set plus the generic power-of-two set (both
-    // directions) - at the full margin-padded chain, so each key is also
-    // bigger.
-    FullSteps.insert(FullSteps.end(), State.RotationSteps.begin(),
-                     State.RotationSteps.end());
-    for (size_t S = 1; S < P.Slots; S <<= 1) {
-      FullSteps.push_back(static_cast<int64_t>(S));
-      FullSteps.push_back(static_cast<int64_t>(P.Slots - S));
-    }
-  }
-  // In lazy mode only relin/conjugation are generated here; rotations
-  // are declared on the cache (bootstrap steps at full depth, analyzed
-  // steps at their truncation level — declareRotation keeps the widest
-  // when they overlap) and materialize on first use.
-  Gen->fillEvalKeys(Keys, KeyCache ? std::vector<int64_t>() : FullSteps,
-                    State.NeedsRelin, State.NeedsConjugation);
+  // Lazy: only relin/conjugation are generated here; rotations are
+  // declared on the cache (declareRotation keeps the widest truncation
+  // when steps overlap) and materialize on first use.
   if (KeyCache)
-    for (int64_t Step : FullSteps)
-      KeyCache->declareRotation(Step);
-  if (State.Options.EnableRotationKeyAnalysis) {
-    // Level-aware key generation: each step's key truncates to the
-    // deepest level the dataflow analysis saw it used at. Compute
-    // rotations sit far below the bootstrap's raised levels, so their
-    // keys shrink quadratically.
-    for (int64_t Step : State.RotationSteps) {
-      uint64_t Galois =
-          fhe::galoisForRotation(Ctx->degree(), Ctx->slots(), Step);
-      auto It = State.RotationStepMaxNumQ.find(Step);
-      size_t MaxNumQ = It != State.RotationStepMaxNumQ.end()
-                           ? It->second
-                           : Ctx->chainLength();
-      if (KeyCache) {
-        KeyCache->declareRotation(Step, MaxNumQ);
-        continue;
-      }
-      if (Keys.Rotations.count(Galois))
-        continue;
-      Keys.Rotations.emplace(Galois,
-                             Gen->makeRotationKey(Step, MaxNumQ));
+    for (uint64_t Galois : RT.BootstrapGalois)
+      KeyCache->declareGalois(Galois);
+  else
+    Gen.fillGaloisKeys(Keys, RT.BootstrapGalois);
+  Gen.fillEvalKeys(Keys, {}, State.NeedsRelin, State.NeedsConjugation);
+  for (auto [Step, MaxNumQ] : RT.RotationKeys) {
+    if (KeyCache) {
+      KeyCache->declareRotation(Step, MaxNumQ);
+      continue;
     }
+    uint64_t Galois = fhe::galoisForRotation(RT.context().degree(),
+                                             RT.context().slots(), Step);
+    if (Galois != 1 && !Keys.Rotations.count(Galois))
+      Keys.Rotations.emplace(Galois, Gen.makeRotationKey(Step, MaxNumQ));
   }
-  Encrypt = std::make_unique<fhe::Encryptor>(*Ctx, Pub);
-  Decrypt = std::make_unique<fhe::Decryptor>(*Ctx, Gen->secretKey());
+}
 
+CkksExecutor::CkksExecutor(const IrFunction &F, const CompileState &State,
+                           std::shared_ptr<ProgramRuntime> Runtime)
+    : F(F), State(State), Runtime(std::move(Runtime)) {}
+
+Status CkksExecutor::setup(uint64_t SeedOverride) {
+  telemetry::TraceSpan Span("executor", "setup");
+  WallTimer Clock;
+  if (!Runtime) {
+    if (!State.SelectedParams.valid())
+      return Status::error("invalid selected parameters");
+    Runtime = std::make_shared<ProgramRuntime>(F, State);
+  }
+  Session.reset(); // free the old key set before generating the next
+  Session = std::make_unique<KeySet>(
+      *Runtime, State, SeedOverride ? SeedOverride : State.SelectedParams.Seed,
+      LazyRotationKeys);
   SetupSeconds = Clock.seconds();
   if (telemetry::enabled()) {
     telemetry::Telemetry::instance().recordSnapshot("executor:setup");
@@ -120,21 +140,20 @@ Status CkksExecutor::setup(uint64_t SeedOverride) {
 
 CkksExecutor::MemoryUsage CkksExecutor::memory() const {
   MemoryUsage M;
-  if (!Gen)
+  if (!Session)
     return M;
-  M.SecretKey = Gen->secretKey().byteSize();
-  M.PublicKey = Pub.byteSize();
-  M.EvalKeys = Keys.byteSize();
-  if (KeyCache)
-    M.EvalKeys += KeyCache->stats().ResidentBytes;
-  for (const auto &[Key, P] : PlainCache)
-    M.Plaintexts += P.byteSize();
+  M.SecretKey = Session->Gen.secretKey().byteSize();
+  M.PublicKey = Session->Pub.byteSize();
+  M.EvalKeys = Session->Keys.byteSize();
+  if (Session->KeyCache)
+    M.EvalKeys += Session->KeyCache->stats().ResidentBytes;
+  M.Plaintexts = Runtime->weightBytes();
   return M;
 }
 
 StatusOr<fhe::Ciphertext>
 CkksExecutor::encryptInput(const nn::Tensor &Input) {
-  if (!Encrypt)
+  if (!Session)
     return Status::invalidArgument("executor: setup() not run");
   telemetry::TraceSpan Span("executor", "encrypt");
   const CipherLayout &L = State.InputLayout;
@@ -160,65 +179,37 @@ CkksExecutor::encryptInput(const nn::Tensor &Input) {
     for (size_t I = 0; I < Input.Values.size(); ++I)
       Slots[L.slotOf(0, 0, I)] = Input.Values[I] * Inv;
   }
-  return Encrypt->checkedEncryptValues(*Enc, Slots, State.InputNumQ);
-}
-
-const Plaintext &CkksExecutor::encodedConst(const IrNode *ConstNode,
-                                            const Ciphertext &For,
-                                            bool ForMul) {
-  double Scale = ForMul ? Eval->mulPlainScale(For) : For.Scale;
-  auto Key = std::make_tuple(ConstNode->Id, For.numQ(),
-                             static_cast<int64_t>(std::llround(
-                                 std::log2(Scale) * 4096.0)));
-  auto It = PlainCache.find(Key);
-  if (It != PlainCache.end())
-    return It->second;
-  Plaintext P = Enc->encodeReal(ConstNode->Data, Scale, For.numQ());
-  return PlainCache.emplace(Key, std::move(P)).first->second;
-}
-
-StatusOr<fhe::Ciphertext>
-CkksExecutor::run(const Ciphertext &Input, const CancellationToken &Token) {
-  CancellationScope Scope(Token);
-  return run(Input);
+  return Session->Encrypt.checkedEncryptValues(Runtime->encoder(), Slots,
+                                              State.InputNumQ);
 }
 
 StatusOr<fhe::Ciphertext> CkksExecutor::run(const Ciphertext &Input) {
-  if (!Eval)
+  if (!Session)
     return Status::invalidArgument("executor: setup() not run");
+  const fhe::Context &Ctx = Runtime->context();
+  fhe::Evaluator &Eval = Session->Eval;
   // A fresh client input is always encrypted at the context scale with
   // the layout's packing; rejecting corrupted inputs here catches faults
   // (e.g. metadata drift) that a purely linear program would otherwise
   // carry through to wrong logits, because plaintext encoding adapts to
   // whatever scale the operand claims.
-  ACE_RETURN_IF_ERROR(fhe::validateCiphertext(*Ctx, Input, "run input"));
-  if (!fhe::scalesClose(Input.Scale, Ctx->scale()))
+  ACE_RETURN_IF_ERROR(fhe::validateCiphertext(Ctx, Input, "run input"));
+  if (!fhe::scalesClose(Input.Scale, Ctx.scale()))
     return Status::scaleMismatch(
         fhe::scaleMismatchMessage("executor input", Input.Scale,
-                                  Ctx->scale()) +
+                                  Ctx.scale()) +
         "; fresh inputs must be encrypted at the context scale");
   RegionTimes.clear();
   telemetry::TraceSpan RunSpan("executor", "run");
   std::map<int, Ciphertext> Values;
-  const IrNode *ConstOf[1]; // silence unused warnings in release
-  (void)ConstOf;
 
-  auto ConstOperand = [&](const IrNode *N) -> const IrNode * {
-    // CkksEncode wraps a ConstVec.
-    assert(N->Kind == NodeKind::NK_CkksEncode && "expected encode node");
-    return N->Operands[0];
+  // The weight a CkksEncode node wraps, encoded for use with A.
+  auto Weight = [&](const IrNode *Encode, const Ciphertext &A,
+                    bool ForMul) -> const Plaintext & {
+    assert(Encode->Kind == NodeKind::NK_CkksEncode && "expected encode node");
+    return Runtime->encodedWeight(Encode->Operands[0], A.numQ(),
+                                  ForMul ? Eval.mulPlainScale(A) : A.Scale);
   };
-
-  // Rotations that share an operand ciphertext (the baby steps of a BSGS
-  // matvec) are served as one hoisted batch: one digit decomposition for
-  // the whole group instead of one per rotation. SSA guarantees the
-  // operand's value never changes, so the batch can run at the first
-  // member and later members just read their precomputed result.
-  std::map<int, std::vector<const IrNode *>> RotateGroups;
-  if (State.Options.EnableRotationKeyAnalysis)
-    for (const auto &NPtr : F.nodes())
-      if (NPtr->Kind == NodeKind::NK_CkksRotate)
-        RotateGroups[NPtr->Operands[0]->Id].push_back(NPtr.get());
 
   Ciphertext Result;
   bool HaveResult = false;
@@ -248,26 +239,27 @@ StatusOr<fhe::Ciphertext> CkksExecutor::run(const Ciphertext &Input) {
       if (State.Options.EnableRotationKeyAnalysis) {
         if (Values.count(N->Id))
           break; // already served by an earlier hoisted batch
-        auto GroupIt = RotateGroups.find(N->Operands[0]->Id);
-        if (GroupIt != RotateGroups.end() && GroupIt->second.size() >= 2) {
+        auto GroupIt = Runtime->RotateGroups.find(N->Operands[0]->Id);
+        if (GroupIt != Runtime->RotateGroups.end() &&
+            GroupIt->second.size() >= 2) {
           std::vector<int64_t> Steps;
           Steps.reserve(GroupIt->second.size());
           for (const IrNode *Member : GroupIt->second)
             Steps.push_back(Member->rotationSteps());
           ACE_ASSIGN_OR_RETURN(std::vector<Ciphertext> Outs,
-                               Eval->checkedRotateHoisted(A, Steps));
+                               Eval.checkedRotateHoisted(A, Steps));
           for (size_t I = 0; I < Outs.size(); ++I)
             Values[GroupIt->second[I]->Id] = std::move(Outs[I]);
           break;
         }
-        ACE_ASSIGN_OR_RETURN(Values[N->Id], Eval->checkedRotate(A, Step));
+        ACE_ASSIGN_OR_RETURN(Values[N->Id], Eval.checkedRotate(A, Step));
       } else {
         // Power-of-two key set only: decompose the step bit by bit (the
         // extra key switches are the Expert baseline's rotation cost).
         Ciphertext Cur = A;
         for (int64_t Bit = 1; Bit < Slots; Bit <<= 1) {
           if (Step & Bit) {
-            ACE_ASSIGN_OR_RETURN(Cur, Eval->checkedRotate(Cur, Bit));
+            ACE_ASSIGN_OR_RETURN(Cur, Eval.checkedRotate(Cur, Bit));
           }
         }
         Values[N->Id] = std::move(Cur);
@@ -277,14 +269,12 @@ StatusOr<fhe::Ciphertext> CkksExecutor::run(const Ciphertext &Input) {
     case NodeKind::NK_CkksMul: {
       const Ciphertext &A = Values.at(N->Operands[0]->Id);
       if (N->Operands[1]->Type == TypeKind::TK_Plain) {
-        ACE_RETURN_IF_ERROR(fhe::validateCiphertext(*Ctx, A, "mulPlain"));
-        const Plaintext &P =
-            encodedConst(ConstOperand(N->Operands[1]), A, /*ForMul=*/true);
-        Values[N->Id] = Eval->mulPlain(A, P);
+        ACE_RETURN_IF_ERROR(fhe::validateCiphertext(Ctx, A, "mulPlain"));
+        Values[N->Id] = Eval.mulPlain(A, Weight(N->Operands[1], A, true));
       } else {
         const Ciphertext &B = Values.at(N->Operands[1]->Id);
-        ACE_RETURN_IF_ERROR(fhe::validateCiphertext(*Ctx, A, "mul"));
-        ACE_RETURN_IF_ERROR(fhe::validateCiphertext(*Ctx, B, "mul"));
+        ACE_RETURN_IF_ERROR(fhe::validateCiphertext(Ctx, A, "mul"));
+        ACE_RETURN_IF_ERROR(fhe::validateCiphertext(Ctx, B, "mul"));
         if (A.numQ() != B.numQ())
           return Status::levelMismatch(
               "executor mul: lhs at " + std::to_string(A.numQ()) +
@@ -293,47 +283,44 @@ StatusOr<fhe::Ciphertext> CkksExecutor::run(const Ciphertext &Input) {
         if (!fhe::scalesClose(A.Scale, B.Scale))
           return Status::scaleMismatch(
               fhe::scaleMismatchMessage("executor mul", A.Scale, B.Scale));
-        Values[N->Id] = Eval->mulNoRelin(A, B);
+        Values[N->Id] = Eval.mulNoRelin(A, B);
       }
       break;
     }
     case NodeKind::NK_CkksRelin: {
       ACE_ASSIGN_OR_RETURN(
           Values[N->Id],
-          Eval->checkedRelinearize(Values.at(N->Operands[0]->Id)));
+          Eval.checkedRelinearize(Values.at(N->Operands[0]->Id)));
       break;
     }
     case NodeKind::NK_CkksMulConst: {
       const Ciphertext &A = Values.at(N->Operands[0]->Id);
       ACE_ASSIGN_OR_RETURN(Values[N->Id],
-                           Eval->checkedMulScalar(A, N->Scalar, A.Scale));
+                           Eval.checkedMulScalar(A, N->Scalar, A.Scale));
       break;
     }
     case NodeKind::NK_CkksAddConst: {
       ACE_ASSIGN_OR_RETURN(
           Values[N->Id],
-          Eval->checkedAddConst(Values.at(N->Operands[0]->Id), N->Scalar));
+          Eval.checkedAddConst(Values.at(N->Operands[0]->Id), N->Scalar));
       break;
     }
     case NodeKind::NK_CkksAdd:
     case NodeKind::NK_CkksSub: {
       Ciphertext A = Values.at(N->Operands[0]->Id);
       if (N->Operands[1]->Type == TypeKind::TK_Plain) {
-        ACE_RETURN_IF_ERROR(fhe::validateCiphertext(*Ctx, A, "addPlain"));
-        const Plaintext &P = encodedConst(ConstOperand(N->Operands[1]), A,
-                                          /*ForMul=*/false);
-        if (N->Kind == NodeKind::NK_CkksAdd)
-          Eval->addPlainInPlace(A, P);
-        else
+        ACE_RETURN_IF_ERROR(fhe::validateCiphertext(Ctx, A, "addPlain"));
+        if (N->Kind != NodeKind::NK_CkksAdd)
           return Status::error("plaintext subtraction not emitted");
+        Eval.addPlainInPlace(A, Weight(N->Operands[1], A, false));
         Values[N->Id] = std::move(A);
       } else {
         Ciphertext B = Values.at(N->Operands[1]->Id);
-        ACE_RETURN_IF_ERROR(Eval->checkedMatchForAdd(A, B));
+        ACE_RETURN_IF_ERROR(Eval.checkedMatchForAdd(A, B));
         if (N->Kind == NodeKind::NK_CkksAdd)
-          Eval->addInPlace(A, B);
+          Eval.addInPlace(A, B);
         else
-          Eval->subInPlace(A, B);
+          Eval.subInPlace(A, B);
         Values[N->Id] = std::move(A);
       }
       break;
@@ -341,26 +328,25 @@ StatusOr<fhe::Ciphertext> CkksExecutor::run(const Ciphertext &Input) {
     case NodeKind::NK_CkksRescale: {
       ACE_ASSIGN_OR_RETURN(
           Values[N->Id],
-          Eval->checkedRescale(Values.at(N->Operands[0]->Id)));
+          Eval.checkedRescale(Values.at(N->Operands[0]->Id)));
       break;
     }
     case NodeKind::NK_CkksModSwitch: {
       ACE_ASSIGN_OR_RETURN(
           Values[N->Id],
-          Eval->checkedModSwitchTo(Values.at(N->Operands[0]->Id),
+          Eval.checkedModSwitchTo(Values.at(N->Operands[0]->Id),
                                    static_cast<size_t>(N->Ints[0])));
       break;
     }
     case NodeKind::NK_CkksBootstrap: {
-      if (!Boot)
+      if (!Session->Boot)
         return Status::keyMissing(
             "executor bootstrap: program contains a bootstrap node but "
             "setup() generated no bootstrapping keys");
-      const Ciphertext &A = Values.at(N->Operands[0]->Id);
-      ACE_ASSIGN_OR_RETURN(
-          Values[N->Id],
-          Boot->checkedBootstrap(A,
-                                 static_cast<size_t>(N->BootstrapTarget)));
+      ACE_ASSIGN_OR_RETURN(Values[N->Id],
+                           Session->Boot->checkedBootstrap(
+                               Values.at(N->Operands[0]->Id),
+                               static_cast<size_t>(N->BootstrapTarget)));
       break;
     }
     case NodeKind::NK_Return:
@@ -383,11 +369,12 @@ StatusOr<fhe::Ciphertext> CkksExecutor::run(const Ciphertext &Input) {
 
 StatusOr<std::vector<double>>
 CkksExecutor::decryptLogits(const Ciphertext &Output) {
-  if (!Decrypt)
+  if (!Session)
     return Status::invalidArgument("executor: setup() not run");
   telemetry::TraceSpan Span("executor", "decrypt");
   ACE_ASSIGN_OR_RETURN(std::vector<double> Slots,
-                       Decrypt->checkedDecryptRealValues(*Enc, Output));
+                       Session->Decrypt.checkedDecryptRealValues(
+                           Runtime->encoder(), Output));
   const CipherLayout &L = State.OutputLayout;
   bool ChannelMode = L.C0 > 1;
   std::vector<double> Logits(State.OutputCount);

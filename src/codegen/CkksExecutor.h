@@ -14,7 +14,9 @@
 /// tensor per the selected layout; run() interprets the CKKS IR; the
 /// decryptor unpacks the logits. Region timing by origin operator feeds
 /// the paper's Figure 6 breakdown, and key-material byte counts feed
-/// Figure 7.
+/// Figure 7. The key-independent half (ProgramRuntime) is built once per
+/// program and shared by every executor over it; each executor holds
+/// only its own key set.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,43 +30,85 @@
 #include "support/Cancellation.h"
 #include "support/Timer.h"
 
+#include <map>
 #include <memory>
+#include <mutex>
 
 namespace ace {
 namespace codegen {
 
-/// Executes one compiled program.
+/// The key-independent half of running one compiled program: the context
+/// (from the selected parameters unmodified), encoder, bootstrap diagonals,
+/// encoded weights, and the tables setup() and run() read. Encodings
+/// depend on the primes, not the keys, so one runtime serves every key set
+/// (every service session). Thread-safe: the caches fill on first use and
+/// never erase; their one mutex guards lookups and inserts, never an
+/// encode, so it is never held across a fork. A racing first use encodes
+/// the same bits and the first insert wins.
+class ProgramRuntime {
+public:
+  /// \p State.SelectedParams must be valid; \p F must outlive the runtime.
+  ProgramRuntime(const air::IrFunction &F, const air::CompileState &State);
+
+  const fhe::Context &context() const { return Ctx; }
+  const fhe::Encoder &encoder() const { return Enc; }
+  fhe::DiagonalStore &diagonals() { return Diagonals; }
+  /// \p ConstNode's values encoded at \p Scale over \p NumQ primes.
+  const fhe::Plaintext &encodedWeight(const air::IrNode *ConstNode,
+                                      size_t NumQ, double Scale);
+  /// Bytes of encoded weights held so far.
+  size_t weightBytes() const;
+
+  /// Key declarations in generation order: the bootstrap's SubSum Galois
+  /// elements, then rotation steps with the prime count their key is
+  /// truncated to (0 = full depth: the bootstrap's steps and the Expert
+  /// baseline's power-of-two set; the analyzed steps are truncated to the
+  /// deepest level they are used at).
+  std::vector<uint64_t> BootstrapGalois;
+  std::vector<std::pair<int64_t, size_t>> RotationKeys;
+  /// Rotate nodes by operand (analyzed key set only). SSA keeps the
+  /// operand fixed, so a group of two or more runs as one hoisted batch
+  /// (one digit decomposition) at its first member.
+  std::map<int, std::vector<const air::IrNode *>> RotateGroups;
+
+private:
+  const fhe::Context Ctx;
+  const fhe::Encoder Enc;
+  mutable std::mutex Mutex;
+  fhe::DiagonalStore Diagonals{Mutex};
+  /// Keyed by (node id, numQ, log2 scale bucket).
+  std::map<std::tuple<int, size_t, int64_t>, fhe::Plaintext> Weights;
+};
+
+/// Executes one compiled program under one key set.
 class CkksExecutor {
 public:
   /// \p F must be in the CKKS dialect; \p State the post-pipeline state.
-  /// Both must outlive the executor.
-  CkksExecutor(const air::IrFunction &F, const air::CompileState &State);
-  ~CkksExecutor();
+  /// Both must outlive the executor. \p Runtime, when given, must be
+  /// built over them; otherwise setup() builds a private one.
+  CkksExecutor(const air::IrFunction &F, const air::CompileState &State,
+               std::shared_ptr<ProgramRuntime> Runtime = nullptr);
 
-  /// Builds the context, generates keys (secret, public, relin,
-  /// rotation set from the key analysis, bootstrap Galois set), and
-  /// instantiates evaluator + bootstrapper. \p SeedOverride = 0 keeps
-  /// the compiled parameters' deterministic seed; a nonzero value
-  /// reseeds the context so this executor draws INDEPENDENT key
-  /// material from every other executor over the same program (the
-  /// per-session isolation the inference service relies on).
+  /// Builds the runtime if there is none yet, then a key set (secret,
+  /// public, relin, rotation set from the key analysis, bootstrap Galois
+  /// set) with its evaluator and bootstrapper. \p SeedOverride = 0 keeps
+  /// the compiled parameters' seed; a nonzero value draws keys INDEPENDENT
+  /// of every other key set (the service's per-session isolation). A
+  /// second call replaces the key set and keeps the runtime.
   Status setup(uint64_t SeedOverride = 0);
 
-  /// Pre-setup() policy switch: generate rotation/Galois keys lazily
-  /// through a RotationKeyCache instead of eagerly at setup. The
-  /// compiler's analyzed step set (with truncation levels) and the
-  /// bootstrap Galois set are *declared*; each key materializes on first
-  /// use, charged to the ResourceGovernor, and the governor's reclaim
-  /// pass evicts cold keys under budget pressure (they regenerate
-  /// transparently on next use). Relinearization and conjugation keys
-  /// stay eager - every program needs them throughout. The inference
-  /// service turns this on for every session; one-shot runs keep the
-  /// eager default, whose setup cost and key-byte reporting are
-  /// unchanged.
+  /// Pre-setup() policy switch: rotation/Galois keys are *declared* on a
+  /// RotationKeyCache and materialize on first use, charged to the
+  /// ResourceGovernor, whose reclaim pass evicts cold keys under budget
+  /// pressure (they regenerate transparently). Relinearization and
+  /// conjugation keys stay eager. Every service session is lazy; one-shot
+  /// runs keep the eager default.
   void enableLazyRotationKeys() { LazyRotationKeys = true; }
 
   /// The lazy key cache, or nullptr in eager mode / before setup().
-  fhe::RotationKeyCache *keyCache() const { return KeyCache.get(); }
+  fhe::RotationKeyCache *keyCache() const {
+    return Session ? Session->KeyCache.get() : nullptr;
+  }
 
   /// Client-side: packs, normalizes, encodes and encrypts a tensor.
   /// Routes through the checked encryptor, so injected ciphertext faults
@@ -80,11 +124,6 @@ public:
   /// Status(DeadlineExceeded/Cancelled) - never mid-op, so no
   /// half-written ciphertext escapes.
   StatusOr<fhe::Ciphertext> run(const fhe::Ciphertext &Input);
-
-  /// Same, but runs under \p Token for the duration of the call (the
-  /// inference service's per-request entry point).
-  StatusOr<fhe::Ciphertext> run(const fhe::Ciphertext &Input,
-                                const CancellationToken &Token);
 
   /// Client-side: decrypts and unpacks the logits.
   StatusOr<std::vector<double>> decryptLogits(const fhe::Ciphertext &Output);
@@ -104,7 +143,7 @@ public:
     /// rotation share is the key cache's resident bytes (the same bytes
     /// the cache charges to the governor's EvalKeys gauge).
     size_t EvalKeys = 0;
-    /// Encoded weights held by the plaintext cache.
+    /// Encoded weights held by the runtime (shared by its executors).
     size_t Plaintexts = 0;
 
     /// The "CKKS-Keys" share in Figure 7.
@@ -118,38 +157,35 @@ public:
   /// Seconds spent in setup (key generation dominates).
   double setupSeconds() const { return SetupSeconds; }
 
-  const fhe::Context &context() const { return *Ctx; }
-  const fhe::EvalKeys &evalKeys() const { return Keys; }
-  /// The public key generated by setup() (the service layer fingerprints
-  /// it to pin requests to the session that encrypted them).
-  const fhe::PublicKey &publicKey() const { return Pub; }
+  /// Valid after setup(). The service fingerprints publicKey() to pin
+  /// requests to the session that encrypted them.
+  const fhe::Context &context() const { return Runtime->context(); }
+  const fhe::EvalKeys &evalKeys() const { return Session->Keys; }
+  const fhe::PublicKey &publicKey() const { return Session->Pub; }
 
 private:
+  /// One key set over the runtime; members are declared so that each
+  /// destructs before what it references.
+  struct KeySet {
+    KeySet(ProgramRuntime &RT, const air::CompileState &State, uint64_t Seed,
+           bool LazyRotationKeys);
+    fhe::KeyGenerator Gen;
+    fhe::PublicKey Pub;
+    fhe::EvalKeys Keys;
+    std::unique_ptr<fhe::RotationKeyCache> KeyCache;
+    fhe::Evaluator Eval;
+    std::unique_ptr<fhe::Bootstrapper> Boot;
+    fhe::Encryptor Encrypt;
+    fhe::Decryptor Decrypt;
+  };
+
   const air::IrFunction &F;
   const air::CompileState &State;
-
-  std::unique_ptr<fhe::Context> Ctx;
-  std::unique_ptr<fhe::Encoder> Enc;
-  std::unique_ptr<fhe::KeyGenerator> Gen;
-  /// Declared after Gen/Ctx (it references both) so it destructs first.
-  std::unique_ptr<fhe::RotationKeyCache> KeyCache;
+  std::shared_ptr<ProgramRuntime> Runtime;
   bool LazyRotationKeys = false;
-  fhe::PublicKey Pub;
-  fhe::EvalKeys Keys;
-  std::unique_ptr<fhe::Evaluator> Eval;
-  std::unique_ptr<fhe::Bootstrapper> Boot;
-  std::unique_ptr<fhe::Encryptor> Encrypt;
-  std::unique_ptr<fhe::Decryptor> Decrypt;
-
+  std::unique_ptr<KeySet> Session;
   TimingRegistry RegionTimes;
   double SetupSeconds = 0.0;
-
-  /// Encoded-plaintext cache: (node id, numQ, log2 scale bucket).
-  std::map<std::tuple<int, size_t, int64_t>, fhe::Plaintext> PlainCache;
-
-  const fhe::Plaintext &encodedConst(const air::IrNode *ConstNode,
-                                     const fhe::Ciphertext &For,
-                                     bool ForMul);
 };
 
 } // namespace codegen

@@ -36,8 +36,27 @@ int ace::fhe::estimateBootstrapDepth(size_t RingDegree, size_t Slots,
   return 1 + DownscaleLevels + EvalModDepth + 1 + 1;
 }
 
-Bootstrapper::Bootstrapper(const Evaluator &Eval, BootstrapConfig Config)
-    : Eval(Eval), Config(Config), Cheb(Eval) {
+size_t DiagonalStore::byteSize() const {
+  std::lock_guard<std::mutex> Guard(Lock);
+  size_t Sum = 0;
+  for (const auto &[Key, Diags] : Entries)
+    for (const Plaintext &P : Diags)
+      Sum += P.byteSize();
+  return Sum;
+}
+
+/// Baby-step count for the BSGS matvec over \p Slots slots.
+static size_t babySteps(size_t Slots) {
+  size_t BS = 1;
+  while (BS * BS < Slots)
+    BS <<= 1;
+  return BS;
+}
+
+Bootstrapper::Bootstrapper(const Evaluator &Eval, BootstrapConfig Config,
+                           DiagonalStore *Shared)
+    : Eval(Eval), Config(Config), Cheb(Eval),
+      Diagonals(Shared ? *Shared : OwnDiagonals) {
   assert(Config.RangeK >= 1 && Config.DoubleAngleCount >= 0 &&
          Config.ChebyshevDegree >= 3 && "invalid bootstrap configuration");
   // The SubSum trace (which must run AFTER ModRaise so the overflow
@@ -88,17 +107,9 @@ int Bootstrapper::depthCost() const {
          1 /*final scale fix*/;
 }
 
-size_t Bootstrapper::babySteps() const {
-  size_t N = Eval.context().slots();
-  size_t BS = 1;
-  while (BS * BS < N)
-    BS <<= 1;
-  return BS;
-}
-
-std::vector<int64_t> Bootstrapper::requiredRotations() const {
-  size_t N = Eval.context().slots();
-  size_t BS = babySteps();
+std::vector<int64_t> Bootstrapper::requiredRotations(const Context &Ctx) {
+  size_t N = Ctx.slots();
+  size_t BS = babySteps(N);
   std::vector<int64_t> Steps;
   for (size_t J = 1; J < BS; ++J)
     Steps.push_back(static_cast<int64_t>(J));
@@ -107,8 +118,8 @@ std::vector<int64_t> Bootstrapper::requiredRotations() const {
   return Steps;
 }
 
-std::vector<uint64_t> Bootstrapper::requiredGaloisElements() const {
-  const Context &Ctx = Eval.context();
+std::vector<uint64_t>
+Bootstrapper::requiredGaloisElements(const Context &Ctx) {
   size_t N = Ctx.degree();
   size_t Slots = Ctx.slots();
   size_t Span = (N / 2) / Slots;
@@ -154,14 +165,17 @@ std::complex<double> Bootstrapper::matrixEntry(int MatrixId, size_t Row,
 const std::vector<Plaintext> &Bootstrapper::diagonals(int MatrixId,
                                                       size_t NumQ) const {
   auto Key = std::make_pair(MatrixId, NumQ);
-  auto It = DiagCache.find(Key);
-  if (It != DiagCache.end())
-    return It->second;
+  {
+    std::lock_guard<std::mutex> Guard(Diagonals.Lock);
+    auto It = Diagonals.Entries.find(Key);
+    if (It != Diagonals.Entries.end())
+      return It->second;
+  }
 
   const Context &Ctx = Eval.context();
   const Encoder &Enc = Eval.encoder();
   size_t N = Ctx.slots();
-  size_t BS = babySteps();
+  size_t BS = babySteps(N);
   // The plaintext scale is the prime the post-matvec rescale drops, so the
   // ciphertext scale is preserved exactly.
   double Scale = static_cast<double>(Ctx.qModulus(NumQ - 1));
@@ -183,14 +197,15 @@ const std::vector<Plaintext> &Bootstrapper::diagonals(int MatrixId,
     }
     Diags[D] = Enc.encode(DiagValues, Scale, NumQ);
   });
-  auto [Inserted, Ok] = DiagCache.emplace(Key, std::move(Diags));
-  (void)Ok;
-  return Inserted->second;
+  // Built outside the lock (the build forks); a racing first use builds
+  // the same bits and the first insert wins.
+  std::lock_guard<std::mutex> Guard(Diagonals.Lock);
+  return Diagonals.Entries.emplace(Key, std::move(Diags)).first->second;
 }
 
 Ciphertext Bootstrapper::matvec(const Ciphertext &Ct, int MatrixId) const {
   size_t N = Ct.Slots;
-  size_t BS = babySteps();
+  size_t BS = babySteps(Eval.context().slots());
   size_t GS = (N + BS - 1) / BS;
   const std::vector<Plaintext> &Diags = diagonals(MatrixId, Ct.numQ());
 
@@ -441,12 +456,4 @@ Ciphertext Bootstrapper::bootstrap(const Ciphertext &Ct,
   assert(Out.numQ() >= TargetNumQ && "bootstrap consumed more than planned");
   Eval.modSwitchTo(Out, TargetNumQ);
   return Out;
-}
-
-size_t Bootstrapper::cachedPlaintextBytes() const {
-  size_t Sum = 0;
-  for (const auto &[Key, Diags] : DiagCache)
-    for (const Plaintext &P : Diags)
-      Sum += P.byteSize();
-  return Sum;
 }

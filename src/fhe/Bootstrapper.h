@@ -33,6 +33,7 @@
 #include "fhe/Evaluator.h"
 
 #include <map>
+#include <mutex>
 #include <vector>
 
 namespace ace {
@@ -59,10 +60,29 @@ int estimateBootstrapDepth(size_t RingDegree, size_t Slots,
                            const BootstrapConfig &Config, int LogScale,
                            int LogFirstModulus);
 
+/// Encoded CoeffToSlot/SlotToCoeff diagonals, keyed by (matrix id, active
+/// prime count). They depend on the context alone, so one store serves
+/// every Bootstrapper over that context, whatever its keys. \p Lock
+/// guards lookups and inserts only (never a build, which forks). Entries
+/// are built on first use and never erased, so references into the store
+/// stay valid for its lifetime.
+struct DiagonalStore {
+  explicit DiagonalStore(std::mutex &Lock) : Lock(Lock) {}
+  /// Bytes of every encoded diagonal (takes Lock).
+  size_t byteSize() const;
+
+  std::mutex &Lock;
+  std::map<std::pair<int, size_t>, std::vector<Plaintext>> Entries;
+};
+
 /// Bootstrapping engine bound to an evaluator.
 class Bootstrapper {
 public:
-  Bootstrapper(const Evaluator &Eval, BootstrapConfig Config = {});
+  /// \p Diagonals (which must outlive the bootstrapper) shares encoded
+  /// diagonals with other bootstrappers over the same context; null gives
+  /// this bootstrapper a private store.
+  Bootstrapper(const Evaluator &Eval, BootstrapConfig Config = {},
+               DiagonalStore *Diagonals = nullptr);
 
   const BootstrapConfig &config() const { return Config; }
 
@@ -70,13 +90,19 @@ public:
   /// CoeffToSlot (1) + EvalMod + SlotToCoeff (1).
   int depthCost() const;
 
-  /// Slot-rotation steps the BSGS linear transforms use; feed these to the
-  /// rotation-key analysis.
-  std::vector<int64_t> requiredRotations() const;
+  /// Slot-rotation steps the BSGS linear transforms use over \p Ctx; feed
+  /// these to the rotation-key analysis.
+  static std::vector<int64_t> requiredRotations(const Context &Ctx);
+  std::vector<int64_t> requiredRotations() const {
+    return requiredRotations(Eval.context());
+  }
 
-  /// Raw Galois elements the SubSum trace uses (they fix the subring, so
-  /// they are not expressible as slot rotations).
-  std::vector<uint64_t> requiredGaloisElements() const;
+  /// Raw Galois elements the SubSum trace uses over \p Ctx (they fix the
+  /// subring, so they are not expressible as slot rotations).
+  static std::vector<uint64_t> requiredGaloisElements(const Context &Ctx);
+  std::vector<uint64_t> requiredGaloisElements() const {
+    return requiredGaloisElements(Eval.context());
+  }
 
   /// Bootstrapping needs the conjugation key (real/imag separation).
   bool needsConjugation() const { return true; }
@@ -94,9 +120,6 @@ public:
   StatusOr<Ciphertext> checkedBootstrap(const Ciphertext &Ct,
                                         size_t TargetNumQ) const;
 
-  /// Bytes held by the cached CoeffToSlot/SlotToCoeff plaintexts.
-  size_t cachedPlaintextBytes() const;
-
 private:
   const Evaluator &Eval;
   BootstrapConfig Config;
@@ -110,11 +133,9 @@ private:
   int rangeBound() const;
   /// Total double-angle iterations: configured count + log2(span).
   int doubleAngles() const;
-  /// Baby-step count for the BSGS matvec.
-  size_t babySteps() const;
-
-  /// Cached encoded diagonals, keyed by (matrix id, active prime count).
-  mutable std::map<std::pair<int, size_t>, std::vector<Plaintext>> DiagCache;
+  std::mutex OwnLock;
+  DiagonalStore OwnDiagonals{OwnLock};
+  DiagonalStore &Diagonals;
 
   /// Returns the encoded diagonals of matrix \p MatrixId at \p NumQ
   /// primes (0 = CoeffToSlot, 1 = SlotToCoeff).

@@ -55,7 +55,8 @@ struct CkksParams {
   /// Use a sparse ternary secret of Hamming weight 64 (standard practice
   /// for bootstrappable CKKS; bounds the ModRaise overflow count K).
   bool SparseSecret = false;
-  /// Seed for all randomness derived from this context.
+  /// Default seed of KeyGenerator and Encryptor (a key set passes its
+  /// own seed explicitly; the Context never reads it).
   uint64_t Seed = 1;
 
   /// True when the derived modulus chain is plausible (degree a power of

@@ -43,7 +43,19 @@ Encoder::Encoder(const Context &Ctx) : Ctx(Ctx), Slots(Ctx.slots()) {
                    static_cast<double>(M);
     KsiPows[K] = {std::cos(Angle), std::sin(Angle)};
   }
-  GarnerTables.resize(Ctx.chainLength() + 1);
+  size_t L = Ctx.chainLength();
+  InvPartialProd.assign(L, 1);
+  PartialProdLd.assign(L + 1, 1.0L);
+  for (size_t I = 1; I <= L; ++I)
+    PartialProdLd[I] =
+        PartialProdLd[I - 1] * static_cast<long double>(Ctx.qModulus(I - 1));
+  for (size_t I = 1; I < L; ++I) {
+    uint64_t QI = Ctx.qModulus(I);
+    uint64_t Prod = 1;
+    for (size_t J = 0; J < I; ++J)
+      Prod = mulMod(Prod, Ctx.qModulus(J) % QI, QI);
+    InvPartialProd[I] = invMod(Prod, QI);
+  }
 }
 
 void Encoder::fftSpecial(std::vector<std::complex<double>> &Values) const {
@@ -168,30 +180,6 @@ Plaintext Encoder::encodeConstant(double Value, double Scale,
   return Plain;
 }
 
-const Encoder::GarnerTable &Encoder::garnerTable(size_t NumQ) const {
-  assert(NumQ >= 1 && NumQ <= Ctx.chainLength() && "bad prime count");
-  GarnerTable &Table = GarnerTables[NumQ];
-  if (!Table.InvPartialProd.empty())
-    return Table;
-  Table.InvPartialProd.resize(NumQ);
-  Table.PartialProdLd.resize(NumQ);
-  Table.InvPartialProd[0] = 1;
-  Table.PartialProdLd[0] = 1.0L;
-  for (size_t I = 1; I < NumQ; ++I) {
-    uint64_t QI = Ctx.qModulus(I);
-    uint64_t Prod = 1;
-    for (size_t J = 0; J < I; ++J)
-      Prod = mulMod(Prod, Ctx.qModulus(J) % QI, QI);
-    Table.InvPartialProd[I] = invMod(Prod, QI);
-    Table.PartialProdLd[I] =
-        Table.PartialProdLd[I - 1] *
-        static_cast<long double>(Ctx.qModulus(I - 1));
-  }
-  Table.TotalLd = Table.PartialProdLd[NumQ - 1] *
-                  static_cast<long double>(Ctx.qModulus(NumQ - 1));
-  return Table;
-}
-
 /// Garner mixed-radix reconstruction of the value with residues produced
 /// by \p ResidueAt. Returns the exact value as long double (exact while the
 /// value fits the 64-bit mantissa; larger values are only used for sign
@@ -222,18 +210,18 @@ static long double garnerValue(size_t NumQ, const Context &Ctx,
   return Value;
 }
 
-long double Encoder::reconstructSigned(const RnsPoly &Poly, size_t K,
-                                       const GarnerTable &Table) const {
+long double Encoder::reconstructSigned(const RnsPoly &Poly,
+                                       size_t K) const {
   size_t NumQ = Poly.numQ();
-  long double Value = garnerValue(
-      NumQ, Ctx, Table.PartialProdLd, Table.InvPartialProd,
-      [&](size_t I) { return Poly.component(I)[K]; });
-  if (Value <= Table.TotalLd / 2)
+  long double Value =
+      garnerValue(NumQ, Ctx, PartialProdLd, InvPartialProd,
+                  [&](size_t I) { return Poly.component(I)[K]; });
+  if (Value <= PartialProdLd[NumQ] / 2)
     return Value;
   // Negative value: reconstruct -x (which is small) exactly and negate, to
   // avoid the catastrophic cancellation of computing Value - Q in floats.
   long double Negated = garnerValue(
-      NumQ, Ctx, Table.PartialProdLd, Table.InvPartialProd, [&](size_t I) {
+      NumQ, Ctx, PartialProdLd, InvPartialProd, [&](size_t I) {
         uint64_t QI = Ctx.qModulus(I);
         return negMod(Poly.component(I)[K] % QI, QI);
       });
@@ -243,11 +231,12 @@ long double Encoder::reconstructSigned(const RnsPoly &Poly, size_t K,
 std::vector<long double> Encoder::polyToCoeffs(const RnsPoly &Poly) const {
   assert(!Poly.isNtt() && "reconstruction requires coefficient domain");
   assert(!Poly.hasSpecial() && "unexpected special component");
-  const GarnerTable &Table = garnerTable(Poly.numQ());
+  assert(Poly.numQ() >= 1 && Poly.numQ() <= Ctx.chainLength() &&
+         "bad prime count");
   size_t N = Ctx.degree();
   std::vector<long double> Coeffs(N);
   for (size_t K = 0; K < N; ++K)
-    Coeffs[K] = reconstructSigned(Poly, K, Table);
+    Coeffs[K] = reconstructSigned(Poly, K);
   return Coeffs;
 }
 

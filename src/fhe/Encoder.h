@@ -90,19 +90,15 @@ private:
   /// omega^k for k <= 4n, omega = exp(2*pi*i / 4n).
   std::vector<std::complex<double>> KsiPows;
 
-  /// Garner-reconstruction tables per active-prime count, built lazily.
-  struct GarnerTable {
-    std::vector<uint64_t> InvPartialProd; // inv(q_0..q_{i-1}) mod q_i
-    std::vector<long double> PartialProdLd; // q_0..q_{i-1} as long double
-    long double TotalLd = 0;
-  };
-  mutable std::vector<GarnerTable> GarnerTables;
-  const GarnerTable &garnerTable(size_t NumQ) const;
+  /// Garner-reconstruction tables, built at construction: a prefix of
+  /// each serves every active-prime count, so decoding from several
+  /// threads reads them without a lock.
+  std::vector<uint64_t> InvPartialProd;   // inv(q_0..q_{i-1}) mod q_i
+  std::vector<long double> PartialProdLd; // q_0..q_{i-1}, i <= chain length
 
   /// Reconstructs one coefficient given its residues (strided access into
   /// component arrays).
-  long double reconstructSigned(const RnsPoly &Poly, size_t CoeffIndex,
-                                const GarnerTable &Table) const;
+  long double reconstructSigned(const RnsPoly &Poly, size_t CoeffIndex) const;
 };
 
 } // namespace fhe

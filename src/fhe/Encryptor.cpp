@@ -31,8 +31,8 @@ void ace::fhe::applyCiphertextFaults(Ciphertext &Ct) {
     Ct.Polys.back().dropLastQ();
 }
 
-Encryptor::Encryptor(const Context &Ctx, const PublicKey &Key)
-    : Ctx(Ctx), Key(Key), Rand(Ctx.params().Seed ^ 0x9e3779b9ULL) {}
+Encryptor::Encryptor(const Context &Ctx, const PublicKey &Key, uint64_t Seed)
+    : Ctx(Ctx), Key(Key), Rand(Seed ^ 0x9e3779b9ULL) {}
 
 /// Samples a small signed polynomial (ternary or CBD noise) directly into
 /// RNS coefficient form.

@@ -28,7 +28,11 @@ namespace fhe {
 /// Encrypts plaintexts under a public key.
 class Encryptor {
 public:
-  Encryptor(const Context &Ctx, const PublicKey &Key);
+  /// Encryption randomness derives from \p Seed (a key set's seed).
+  Encryptor(const Context &Ctx, const PublicKey &Key, uint64_t Seed);
+  /// Same, seeded from the context parameters' seed.
+  Encryptor(const Context &Ctx, const PublicKey &Key)
+      : Encryptor(Ctx, Key, Ctx.params().Seed) {}
 
   /// Encrypts \p Plain at its level; the result carries the plaintext's
   /// scale and slot count.

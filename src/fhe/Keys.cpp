@@ -48,8 +48,8 @@ static RnsPoly smallPolyToRns(const Context &Ctx,
   return Poly;
 }
 
-KeyGenerator::KeyGenerator(const Context &Ctx)
-    : Ctx(Ctx), Rand(Ctx.params().Seed) {
+KeyGenerator::KeyGenerator(const Context &Ctx, uint64_t Seed)
+    : Ctx(Ctx), Rand(Seed) {
   size_t N = Ctx.degree();
   std::vector<int32_t> Coeffs(N, 0);
   if (Ctx.params().SparseSecret) {

@@ -101,8 +101,11 @@ public:
   /// Samples the secret key at construction. With
   /// CkksParams::SparseSecret the secret has Hamming weight 64 (the
   /// standard choice for bootstrappable CKKS, bounding the ModRaise
-  /// overflow count).
-  explicit KeyGenerator(const Context &Ctx);
+  /// overflow count). All key randomness derives from \p Seed.
+  KeyGenerator(const Context &Ctx, uint64_t Seed);
+  /// Same, seeded from the context parameters' seed.
+  explicit KeyGenerator(const Context &Ctx)
+      : KeyGenerator(Ctx, Ctx.params().Seed) {}
 
   const SecretKey &secretKey() const { return Secret; }
 

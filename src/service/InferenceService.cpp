@@ -70,10 +70,10 @@ std::string ServiceStats::json() const {
   return Buf;
 }
 
-/// One client: private key material over the shared compiled program.
-/// RunMutex serializes everything that touches the executor's mutable
-/// state (RNG in the encryptor, plaintext cache and timing registries in
-/// run()); requests on different sessions never contend on it.
+/// One client: a key set over the service's shared ProgramRuntime.
+/// RunMutex serializes everything that touches the key set's mutable
+/// state (RNG in the encryptor, timing registries in run()); requests on
+/// different sessions never contend on it.
 struct InferenceService::Session {
   uint64_t Id = 0;
   std::unique_ptr<codegen::CkksExecutor> Exec;
@@ -125,16 +125,18 @@ Histogram::Snapshot InferenceService::latencySnapshot(Stage S) const {
 InferenceService::InferenceService(const air::IrFunction &F,
                                    const air::CompileState &State,
                                    ServiceConfig Config)
-    : F(F), State(State), Config(Config) {
+    : F(F), State(State), Config(Config),
+      Runtime(State.SelectedParams.valid()
+                  ? std::make_shared<codegen::ProgramRuntime>(F, State)
+                  : nullptr) {
   // Install the configured hard budget before any session can charge
   // against it. 0 leaves an externally configured budget
   // (ACE_MEMORY_BUDGET / ace_set_memory_budget) in place.
   if (Config.MemoryBudgetBytes > 0)
     ResourceGovernor::instance().setBudgetBytes(Config.MemoryBudgetBytes);
   // Export the service's health through the process metrics registry
-  // (docs/observability.md). Callbacks run at export time only and take
-  // the same locks stats() does; registrations are released in
-  // shutdown() before the dispatcher joins.
+  // (docs/observability.md). Callbacks run at export time only;
+  // registrations are released in shutdown() before the dispatcher joins.
   auto &Reg = metrics::MetricsRegistry::instance();
   for (size_t I = 0; I < kStageCount; ++I)
     MetricIds.push_back(Reg.addHistogram(
@@ -143,33 +145,22 @@ InferenceService::InferenceService(const air::IrFunction &F,
         "client decrypt).",
         std::string("stage=\"") + stageName(static_cast<Stage>(I)) + "\"",
         &StageHist[I]));
-  MetricIds.push_back(Reg.addGauge(
-      "ace_service_queue_depth", "Requests waiting for a dispatcher wave.",
-      "", [this] {
-        std::lock_guard<std::mutex> Lock(QueueMutex);
-        return static_cast<double>(Queue.size());
-      }));
-  MetricIds.push_back(Reg.addGauge(
-      "ace_service_in_flight", "Requests currently executing.", "",
-      [this] {
-        std::lock_guard<std::mutex> Lock(QueueMutex);
-        return static_cast<double>(InFlight);
-      }));
-  MetricIds.push_back(Reg.addGauge(
-      "ace_service_open_sessions", "Sessions currently open.", "",
-      [this] {
-        std::lock_guard<std::mutex> Lock(SessionsMutex);
-        return static_cast<double>(Sessions.size());
-      }));
-  MetricIds.push_back(Reg.addGauge(
-      "ace_service_key_cache_bytes",
-      "Rotation-key bytes cached across all open sessions.", "", [this] {
-        std::lock_guard<std::mutex> Lock(SessionsMutex);
-        size_t Bytes = 0;
-        for (const auto &[Id, S] : Sessions)
-          Bytes += S->Exec->keyCache()->stats().ResidentBytes;
-        return static_cast<double>(Bytes);
-      }));
+  // Each gauge reads its field of the snapshot stats() returns.
+  auto Gauge = [&](const char *Name, const char *Help,
+                   size_t ServiceStats::*Field) {
+    MetricIds.push_back(Reg.addGauge(Name, Help, "", [this, Field] {
+      return static_cast<double>(stats().*Field);
+    }));
+  };
+  Gauge("ace_service_queue_depth", "Requests waiting for a dispatcher wave.",
+        &ServiceStats::QueueDepth);
+  Gauge("ace_service_in_flight", "Requests currently executing.",
+        &ServiceStats::InFlight);
+  Gauge("ace_service_open_sessions", "Sessions currently open.",
+        &ServiceStats::OpenSessions);
+  Gauge("ace_service_key_cache_bytes",
+        "Rotation-key bytes cached across all open sessions.",
+        &ServiceStats::KeyCacheBytes);
   Dispatcher = std::thread([this] { dispatchLoop(); });
 }
 
@@ -181,18 +172,14 @@ StatusOr<uint64_t> InferenceService::openSession() {
     std::lock_guard<std::mutex> Lock(SessionsMutex);
     S->Id = NextSessionId++;
   }
-  S->Exec = std::make_unique<codegen::CkksExecutor>(F, State);
-  // Resident-server key discipline: rotation keys materialize on first
-  // use and the governor reclaims cold ones under budget pressure,
-  // instead of every session holding its full key set forever
-  // (docs/memory.md). Relin/conjugation keys stay eager.
+  S->Exec = std::make_unique<codegen::CkksExecutor>(F, State, Runtime);
+  // Rotation keys materialize on first use and the governor reclaims
+  // cold ones under budget pressure (docs/memory.md).
   S->Exec->enableLazyRotationKeys();
-  // Reseed key generation per session: the compiled parameters carry one
-  // deterministic seed, and two sessions sharing it would generate
-  // IDENTICAL keys - indistinguishable fingerprints, no client isolation.
-  // The SplitMix64 mix is bijective in the session id for a fixed params
-  // seed, so no two sessions of one service can alias, and it stays
-  // deterministic for a given (params, id) pair.
+  // A key seed per session: sharing the compiled parameters' one seed
+  // would give every session IDENTICAL keys. The SplitMix64 mix is
+  // bijective in the session id for a fixed params seed, so no two
+  // sessions of one service alias, and it is deterministic per id.
   uint64_t KeySeed =
       splitmix64(State.SelectedParams.Seed * 0x9E3779B97F4A7C15ull + S->Id);
   if (KeySeed == 0) // setup(0) means "keep the compiled params seed"
@@ -250,10 +237,8 @@ InferenceService::encryptRequest(uint64_t SessionId, const nn::Tensor &Input,
                               std::to_string(SessionId));
   std::vector<uint8_t> CtBytes;
   {
-    // Lock-order discipline (see dispatchLoop): a session mutex is
-    // always acquired BEFORE the pool's fork lock, so while holding it
-    // we must not fork - InlineRegion keeps the encode/encrypt kernels
-    // on this thread.
+    // Lock order (InferenceService.h): never fork while holding a
+    // session mutex, so the encode/encrypt kernels run inline.
     std::lock_guard<std::mutex> Run(S->RunMutex);
     ThreadPool::InlineRegion Inline;
     ACE_ASSIGN_OR_RETURN(fhe::Ciphertext Ct, S->Exec->encryptInput(Input));
@@ -440,17 +425,15 @@ void InferenceService::dispatchLoop() {
                {});
       return;
     }
-    // Lock-order discipline: session mutexes are ALWAYS acquired
-    // before the pool's fork lock, and only this thread ever holds
-    // both. The wave pre-locks every batched session here; client
-    // threads holding a session mutex (encrypt/decrypt) run inline and
-    // never touch the fork lock. Workers below therefore take no locks
-    // at all - the inversion cycle (fork lock -> session in a worker
-    // vs session -> fork lock in a client) cannot form.
-    std::vector<std::shared_ptr<Session>> WaveSessions;
-    for (const auto &R : Batch)
-      if (auto S = findSession(R->SessionId))
-        WaveSessions.push_back(S);
+    // Lock order (InferenceService.h): the wave looks up and pre-locks
+    // every batched session before forking, so workers take no service
+    // lock. A null owner is a session closed while its request queued.
+    std::vector<std::shared_ptr<Session>> Owners, WaveSessions;
+    for (const auto &R : Batch) {
+      Owners.push_back(findSession(R->SessionId));
+      if (Owners.back())
+        WaveSessions.push_back(Owners.back());
+    }
     // Canonical acquisition order (session id) so two waves can never
     // hold-and-wait against each other in opposite orders.
     std::sort(WaveSessions.begin(), WaveSessions.end(),
@@ -465,10 +448,11 @@ void InferenceService::dispatchLoop() {
     // bit-identical at every thread count. A singleton batch runs on
     // this thread and keeps full within-op parallelism.
     if (Batch.size() == 1)
-      execute(Batch[0]);
+      execute(Batch[0], Owners[0].get());
     else
-      ThreadPool::instance().parallelFor(
-          0, Batch.size(), [&](size_t I) { execute(Batch[I]); });
+      ThreadPool::instance().parallelFor(0, Batch.size(), [&](size_t I) {
+        execute(Batch[I], Owners[I].get());
+      });
     WaveLocks.clear();
     WaveSessions.clear();
     {
@@ -478,7 +462,8 @@ void InferenceService::dispatchLoop() {
   }
 }
 
-void InferenceService::execute(const std::shared_ptr<Request> &R) {
+void InferenceService::execute(const std::shared_ptr<Request> &R,
+                               Session *S) {
   // The queue stage ends the moment a worker picks the request up.
   auto DequeuedAt = std::chrono::steady_clock::now();
   R->QueueSeconds =
@@ -494,7 +479,6 @@ void InferenceService::execute(const std::shared_ptr<Request> &R) {
     finish(R, std::move(Gate), {});
     return;
   }
-  auto S = findSession(R->SessionId);
   if (!S) {
     finish(R,
            Status::keyMissing("session " + std::to_string(R->SessionId) +
@@ -544,7 +528,8 @@ void InferenceService::execute(const std::shared_ptr<Request> &R) {
       // No lock here: the dispatcher holds this session's RunMutex for
       // the whole wave (one request per session per wave), so the
       // executor is exclusively ours.
-      auto Result = S->Exec->run(*Ct, Token);
+      CancellationScope Cancel(Token);
+      auto Result = S->Exec->run(*Ct);
       if (Result.ok())
         Outcome =
             fhe::wire::save(*Result, CtBytes); // injected faults land here
@@ -719,8 +704,7 @@ InferenceService::decryptResponse(uint64_t SessionId,
                        fhe::wire::loadCiphertext(S->Exec->context(),
                                                  Rd.cursor(),
                                                  Rd.remaining()));
-  // Same lock-order discipline as encryptRequest: never fork while
-  // holding a session mutex.
+  // Never fork while holding a session mutex (see encryptRequest).
   StatusOr<std::vector<double>> Logits = [&] {
     std::lock_guard<std::mutex> Run(S->RunMutex);
     ThreadPool::InlineRegion Inline;

@@ -15,8 +15,9 @@
 ///  - Admission control: a bounded request queue. When it is full,
 ///    submit() sheds load immediately with Status(ResourceExhausted) -
 ///    backpressure, never unbounded memory growth.
-///  - Sessions: each client opens a session with its OWN key material (a
-///    private CkksExecutor over the shared compiled program). Request
+///  - Sessions: each client opens a session with its OWN key set (a
+///    CkksExecutor over the service's one ProgramRuntime, which holds the
+///    context, encoder, bootstrap diagonals and encoded weights). Request
 ///    frames carry a fingerprint of the session's public key, so a
 ///    ciphertext routed to the wrong session fails that request with
 ///    Status(KeyMissing) instead of silently decrypting garbage.
@@ -24,11 +25,10 @@
 ///    deadline; cancel() abandons a queued or running request. Both
 ///    unwind cooperatively between CKKS ops (support/Cancellation.h)
 ///    with Status(DeadlineExceeded/Cancelled).
-///  - Isolation: requests are framed over the hardened wire format
-///    (PR 4), so malformed, truncated, or fault-injected bytes fail only
-///    their own request; concurrent requests on other sessions are
-///    unaffected and their results stay bit-identical to a single-client
-///    run.
+///  - Isolation: requests are framed over the hardened wire format, so
+///    malformed, truncated, or fault-injected bytes fail only their own
+///    request; concurrent requests on other sessions are unaffected and
+///    their results stay bit-identical to a single-client run.
 ///
 /// Concurrency model: submit() enqueues; a dispatcher thread pops bounded
 /// batches and executes them via ace::ThreadPool::parallelFor - requests
@@ -36,13 +36,16 @@
 /// parallelFor calls serialize inline on those workers (the pool's
 /// documented nesting rule), which keeps results bit-identical at every
 /// thread count. Requests on the SAME session additionally serialize
-/// (an executor's plaintext cache and timing registries are per-session
+/// (a key set's RNGs, key cache and timing registries are per-session
 /// state): each wave takes at most one request per session and the
 /// dispatcher holds every batched session's mutex across the fork.
 /// Lock-order discipline: a session mutex is always acquired before the
 /// pool's fork lock, and a thread holding a session mutex never forks -
 /// client-side encrypt/decrypt run inline (ThreadPool::InlineRegion) -
-/// so the service cannot deadlock against the pool.
+/// so the service cannot deadlock against the pool. The runtime mutex
+/// (the shared diagonals and weights) is a leaf: it guards only cache
+/// lookups and inserts, so it is never held across a fork or another
+/// lock, and fork-lock holders may wait on it freely.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -285,13 +288,17 @@ private:
 
   std::shared_ptr<Session> findSession(uint64_t SessionId) const;
   void dispatchLoop();
-  void execute(const std::shared_ptr<Request> &R);
+  /// Runs \p R on its session \p S (null: closed while queued), whose
+  /// RunMutex the dispatcher holds.
+  void execute(const std::shared_ptr<Request> &R, Session *S);
   void finish(const std::shared_ptr<Request> &R, Status Outcome,
               std::vector<uint8_t> ResponseBytes);
 
   const air::IrFunction &F;
   const air::CompileState &State;
   const ServiceConfig Config;
+  /// Shared by every session; null for invalid parameters.
+  const std::shared_ptr<codegen::ProgramRuntime> Runtime;
 
   mutable std::mutex SessionsMutex;
   std::map<uint64_t, std::shared_ptr<Session>> Sessions;
